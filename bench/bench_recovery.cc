@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "adapt/recovery_lab.h"
+#include "fleet/recovery_lab.h"
 #include "bench_common.h"
 #include "common/check.h"
 #include "common/table_printer.h"

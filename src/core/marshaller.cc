@@ -193,6 +193,11 @@ bool Marshaller::PushFrameDeferred(const float* features,
   return true;
 }
 
+int64_t Marshaller::oldest_pending_anchor() const {
+  EVENTHIT_CHECK(!pending_anchors_.empty());
+  return pending_anchors_.front();
+}
+
 void Marshaller::CompletePrediction(const MarshalDecision& decision) {
   CompletePredictionInternal(decision, /*reused=*/false);
 }

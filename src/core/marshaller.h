@@ -149,6 +149,10 @@ class Marshaller {
   /// Prediction boundaries pushed but not yet completed.
   size_t pending_predictions() const { return pending_anchors_.size(); }
 
+  /// Anchor of the oldest pending prediction — the boundary the next
+  /// CompletePrediction finishes. Requires a pending prediction.
+  int64_t oldest_pending_anchor() const;
+
   /// Decision made at the most recent prediction point (empty before the
   /// first prediction).
   const MarshalDecision& last_decision() const { return last_decision_; }

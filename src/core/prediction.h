@@ -2,10 +2,13 @@
 #ifndef EVENTHIT_CORE_PREDICTION_H_
 #define EVENTHIT_CORE_PREDICTION_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "data/record.h"
+#include "obs/audit.h"
 #include "sim/interval.h"
 
 namespace eventhit::core {
@@ -33,6 +36,36 @@ struct MarshalDecision {
   /// relay/billing output, so strategies that leave it 0 are unaffected.
   double max_existence = 0.0;
 };
+
+/// The auditor's view of event `k` of `decision` against its label in
+/// `truth`: presence (the C-CLASSIFY track) and, when truth and decision
+/// both say present, endpoint coverage (the C-REGRESS track). The one
+/// place outcomes are built — the offline replay (eval::BuildAuditOutcomes)
+/// and the live pipeline (fleet::StreamSession) both call it.
+inline obs::AuditOutcome AuditOutcomeOf(const data::Record& truth,
+                                        const MarshalDecision& decision,
+                                        size_t k, int64_t sim_time,
+                                        int64_t decision_id = -1) {
+  const data::EventLabel& label = truth.labels[k];
+  obs::AuditOutcome outcome;
+  outcome.sim_time = sim_time;
+  outcome.event = static_cast<int>(k);
+  outcome.truth_present = label.present;
+  outcome.predicted_present = decision.exists[k];
+  outcome.decision_id = decision_id;
+  if (label.present && decision.exists[k]) {
+    outcome.start_covered = decision.intervals[k].start <= label.start;
+    outcome.end_covered = decision.intervals[k].end >= label.end;
+  }
+  return outcome;
+}
+
+/// Endpoints `outcome` failed to cover (0 unless truth and decision both
+/// said present).
+inline int MiscoveredEndpoints(const obs::AuditOutcome& outcome) {
+  if (!outcome.truth_present || !outcome.predicted_present) return 0;
+  return (outcome.start_covered ? 0 : 1) + (outcome.end_covered ? 0 : 1);
+}
 
 /// Interface implemented by every algorithm of §VI.B (EHO/EHC/EHR/EHCR,
 /// OPT, BF, COX, VQS, APP-VAE). A strategy observes only the record (its

@@ -255,29 +255,43 @@ std::vector<core::MarshalDecision> DecisionsWithPolicy(
   return decisions;
 }
 
+core::EventHitStrategy MakeEhcr(const TrainedEventHit& trained,
+                                double confidence, double coverage) {
+  core::EventHitStrategyOptions options;
+  options.use_cclassify = true;
+  options.use_cregress = true;
+  options.confidence = confidence;
+  options.coverage = coverage;
+  return core::EventHitStrategy(trained.model.get(), trained.cclassify.get(),
+                                trained.cregress.get(), options);
+}
+
+Result<RunnerConfig> ParseRunnerFlags(const Flags& flags) {
+  RunnerConfig config;
+  const auto seed = flags.GetInt("seed", 42);
+  if (!seed.ok()) return seed.status();
+  config.seed = static_cast<uint64_t>(seed.value());
+  const auto backend =
+      nn::ParseBackendKind(flags.GetString("nn-backend", "blocked"));
+  if (!backend.ok()) return backend.status();
+  config.nn_backend = backend.value();
+  const auto policy =
+      sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
+  if (!policy.ok()) return policy.status();
+  config.collect_policy = policy.value();
+  return config;
+}
+
 std::vector<obs::AuditOutcome> BuildAuditOutcomes(
     const std::vector<data::Record>& records,
     const std::vector<core::MarshalDecision>& decisions) {
   EVENTHIT_CHECK_EQ(records.size(), decisions.size());
   std::vector<obs::AuditOutcome> outcomes;
   for (size_t i = 0; i < records.size(); ++i) {
-    const data::Record& record = records[i];
-    const core::MarshalDecision& decision = decisions[i];
-    EVENTHIT_CHECK_EQ(decision.exists.size(), record.labels.size());
-    outcomes.reserve(outcomes.size() + record.labels.size());
-    for (size_t k = 0; k < record.labels.size(); ++k) {
-      const data::EventLabel& label = record.labels[k];
-      obs::AuditOutcome outcome;
-      outcome.sim_time = static_cast<int64_t>(i);
-      outcome.event = static_cast<int>(k);
-      outcome.truth_present = label.present;
-      outcome.predicted_present = decision.exists[k];
-      if (label.present && decision.exists[k]) {
-        const sim::Interval& interval = decision.intervals[k];
-        outcome.start_covered = interval.start <= label.start;
-        outcome.end_covered = interval.end >= label.end;
-      }
-      outcomes.push_back(outcome);
+    EVENTHIT_CHECK_EQ(decisions[i].exists.size(), records[i].labels.size());
+    for (size_t k = 0; k < records[i].labels.size(); ++k) {
+      outcomes.push_back(core::AuditOutcomeOf(records[i], decisions[i], k,
+                                              static_cast<int64_t>(i)));
     }
   }
   return outcomes;

@@ -7,6 +7,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/c_classify.h"
 #include "core/c_regress.h"
@@ -66,6 +68,11 @@ struct RunnerConfig {
   uint64_t seed = 42;
 };
 
+/// Reads the runner knobs every training subcommand shares from `flags`:
+/// --seed, --nn-backend and --collect-policy (the rest keep their
+/// defaults). InvalidArgument on a malformed value.
+Result<RunnerConfig> ParseRunnerFlags(const Flags& flags);
+
 /// The generated world and record sets for one task.
 class TaskEnvironment {
  public:
@@ -114,6 +121,11 @@ struct TrainedEventHit {
 TrainedEventHit TrainEventHit(const TaskEnvironment& env,
                               const RunnerConfig& config, double tau2 = 0.5,
                               const ExecutionContext& ctx = ExecutionContext());
+
+/// The EHCR strategy (both conformal wrappers) over `trained` at confidence
+/// c and coverage alpha — the operating point evaluate and the fleet serve.
+core::EventHitStrategy MakeEhcr(const TrainedEventHit& trained,
+                                double confidence, double coverage);
 
 /// Evaluates a strategy by calling Decide on every test record. Decisions
 /// are computed across `ctx.threads()` workers into per-record slots, then

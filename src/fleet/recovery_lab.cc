@@ -1,4 +1,4 @@
-#include "adapt/recovery_lab.h"
+#include "fleet/recovery_lab.h"
 
 #include <algorithm>
 #include <cmath>
@@ -10,15 +10,20 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/marshaller.h"
 #include "data/record_extractor.h"
 #include "data/tasks.h"
+#include "eval/runner.h"
+#include "fleet/stream_session.h"
 #include "obs/audit.h"
 #include "sim/drift_scenario.h"
 #include "sim/synthetic_video.h"
 
 namespace eventhit::adapt {
 namespace {
+
+// Seed-split salts of the session's cloud service and relay.
+constexpr uint64_t kCloudSalt = 2;
+constexpr uint64_t kRelaySalt = 3;
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
@@ -37,9 +42,7 @@ struct Rig {
   sim::SyntheticVideo video;
   data::Task task;
   data::ExtractorConfig extractor;
-  std::unique_ptr<core::EventHitModel> model;
-  std::unique_ptr<core::CClassify> cclassify;
-  std::unique_ptr<core::CRegress> cregress;
+  eval::TrainedEventHit trained;
 };
 
 Result<Rig> BuildRig(const RecoveryLabConfig& config) {
@@ -76,14 +79,15 @@ Result<Rig> BuildRig(const RecoveryLabConfig& config) {
   model_config.feature_dim = rig.video.feature_dim();
   model_config.num_events = 1;
   model_config.epochs = config.epochs;
-  rig.model = std::make_unique<core::EventHitModel>(model_config);
-  rig.model->Train(train);
+  eval::TrainedEventHit& trained = rig.trained;
+  trained.model = std::make_unique<core::EventHitModel>(model_config);
+  trained.model->Train(train);
 
   const ExecutionContext ctx(config.threads, config.seed);
-  rig.cclassify =
-      std::make_unique<core::CClassify>(*rig.model, calib, ctx);
-  rig.cregress = std::make_unique<core::CRegress>(*rig.model, calib,
-                                                  config.tau2, ctx);
+  trained.cclassify =
+      std::make_unique<core::CClassify>(*trained.model, calib, ctx);
+  trained.cregress = std::make_unique<core::CRegress>(*trained.model, calib,
+                                                      config.tau2, ctx);
   return rig;
 }
 
@@ -118,144 +122,111 @@ RecoveryReport StreamOnce(const Rig& rig, const RecoveryLabConfig& config,
   report.stream_end = rig.video.num_frames() - rig.extractor.horizon;
   report.decision_digest = kFnvOffset;
 
-  core::EventHitStrategyOptions options;
-  options.use_cclassify = true;
-  options.use_cregress = true;
-  options.confidence = config.confidence;
-  options.coverage = config.coverage;
-  options.tau2 = config.tau2;
-  core::EventHitStrategy strategy(rig.model.get(), rig.cclassify.get(),
-                                  rig.cregress.get(), options);
-
-  obs::AuditConfig audit_config;
-  audit_config.confidence = config.confidence;
-  audit_config.coverage = config.coverage;
-  audit_config.fast_window = config.audit_fast_window;
-  audit_config.slow_window = config.audit_slow_window;
-  audit_config.event_labels = {"E7"};
-  obs::GuarantyAuditor auditor(audit_config);
-
-  RecalConfig recal_config = config.recal_config;
-  recal_config.tau2 = config.tau2;
-  std::unique_ptr<RecalLoop> loop;
-  if (recal_on) {
-    loop = std::make_unique<RecalLoop>(
-        rig.model.get(), &strategy,
-        config.breach_trigger ? &auditor : nullptr, recal_config);
-  }
-
-  core::Marshaller marshaller(
-      &strategy, rig.extractor.collection_window, rig.extractor.horizon,
-      rig.video.feature_dim(), /*num_events=*/1);
+  // The drift video, streamed from the calibration end through the same
+  // session wiring the fleet serves; telemetry goes to the process
+  // globals so recal.* lands in --metrics-out.
+  core::EventHitStrategy strategy =
+      eval::MakeEhcr(rig.trained, config.confidence, config.coverage);
+  strategy.set_tau2(config.tau2);
+  fleet::SessionSpec spec;
+  spec.task = &rig.task;
+  spec.video = &rig.video;
+  spec.first_frame = config.calib_end;
+  spec.model = rig.trained.model.get();
+  spec.strategy = &strategy;
+  spec.audit.confidence = config.confidence;
+  spec.audit.coverage = config.coverage;
+  spec.audit.fast_window = config.audit_fast_window;
+  spec.audit.slow_window = config.audit_slow_window;
+  spec.audit.event_labels = {"E7"};
+  spec.cloud_seed = SplitSeed(config.seed, kCloudSalt);
+  spec.relay_seed = SplitSeed(config.seed, kRelaySalt);
+  spec.recal = recal_on;
+  spec.recal_breach_trigger = config.breach_trigger;
+  spec.recal_config = config.recal_config;
+  spec.recal_config.tau2 = config.tau2;
 
   // The fast-burn thresholds that define both breach and restore
   // (obs/audit.h): burn_factor x budget, capped at the midpoint to 1.
   const double miss_budget = 1.0 - config.confidence;
   const double miscover_budget = 1.0 - config.coverage;
-  const double miss_burn = std::min(audit_config.burn_factor * miss_budget,
+  const double miss_burn = std::min(spec.audit.burn_factor * miss_budget,
                                     (1.0 + miss_budget) / 2.0);
   const double miscover_burn =
-      std::min(audit_config.burn_factor * miscover_budget,
+      std::min(spec.audit.burn_factor * miscover_budget,
                (1.0 + miscover_budget) / 2.0);
   RestoreWindow miss_window{static_cast<size_t>(config.restore_window), {}};
   RestoreWindow cover_window{static_cast<size_t>(config.restore_window),
                             {}};
 
-  const core::EventScores* current_scores = nullptr;
-  marshaller.set_decision_callback(
-      [&](int64_t anchor, const core::MarshalDecision& decision,
-          bool reused) {
-        (void)reused;
-        const int64_t abs_anchor = report.stream_begin + anchor;
-        const data::Record truth = data::BuildRecord(
-            rig.video, rig.task, rig.extractor, abs_anchor);
-        const data::EventLabel& label = truth.labels[0];
-        const bool predicted = decision.exists[0];
-        const sim::Interval& interval = decision.intervals[0];
-
-        obs::AuditOutcome outcome;
-        outcome.sim_time = abs_anchor;
-        outcome.event = 0;
-        outcome.truth_present = label.present;
-        outcome.predicted_present = predicted;
-        if (label.present && predicted) {
-          outcome.start_covered = interval.start <= label.start;
-          outcome.end_covered = interval.end >= label.end;
-        }
-        auditor.Observe(outcome);
-        if (report.breach_time < 0 && auditor.any_breach()) {
-          report.breach_time = abs_anchor;
-        }
-
-        RecoveryPhase* phase = &report.pre_shift;
-        if (abs_anchor >= report.shift_frame) {
-          phase = report.first_swap_time >= 0 ? &report.post_swap
-                                              : &report.post_shift;
-        }
-        ++phase->boundaries;
-        if (predicted) phase->relayed_frames += interval.length();
-        if (label.present) {
-          ++phase->positives;
-          if (!predicted) ++phase->misses;
-        }
-        if (label.present && predicted) {
-          phase->endpoints += 2;
-          phase->miscovered += (outcome.start_covered ? 0 : 1) +
-                               (outcome.end_covered ? 0 : 1);
-        }
-
-        report.decision_digest =
-            FnvFold(report.decision_digest, static_cast<uint64_t>(abs_anchor));
-        report.decision_digest =
-            FnvFold(report.decision_digest, predicted ? 1 : 0);
-        report.decision_digest = FnvFold(
-            report.decision_digest, static_cast<uint64_t>(interval.start));
-        report.decision_digest = FnvFold(
-            report.decision_digest, static_cast<uint64_t>(interval.end));
-
-        // Restore tracking: indicators accumulate only after a swap (and
-        // restart at every subsequent swap).
-        if (report.first_swap_time >= 0) {
-          if (label.present) miss_window.Add(!predicted);
-          if (label.present && predicted) {
-            cover_window.Add(!outcome.start_covered);
-            cover_window.Add(!outcome.end_covered);
-          }
-          if (report.restore_time < 0 && miss_window.Full() &&
-              cover_window.Full() && miss_window.Rate() <= miss_burn &&
-              cover_window.Rate() <= miscover_burn) {
-            report.restore_time = abs_anchor;
-          }
-        }
-
-        if (loop != nullptr) {
-          EVENTHIT_CHECK(current_scores != nullptr);
-          if (loop->Observe(abs_anchor, truth, *current_scores)) {
-            if (report.first_swap_time < 0) {
-              report.first_swap_time = abs_anchor;
-            }
-            miss_window.Reset();
-            cover_window.Reset();
-            report.restore_time = -1;
-          }
-        }
-      });
-
-  data::Record pending;
-  for (int64_t frame = report.stream_begin; frame < report.stream_end;
-       ++frame) {
-    if (marshaller.PushFrameDeferred(rig.video.FrameFeatures(frame),
-                                     &pending)) {
-      const core::EventScores scores = rig.model->Predict(pending);
-      current_scores = &scores;
-      marshaller.CompletePrediction(strategy.DecideFromScores(scores));
-      current_scores = nullptr;
+  spec.observer = [&](const fleet::StreamSession& session, int64_t anchor,
+                      const core::MarshalDecision& decision,
+                      const data::Record* truth, bool swapped) {
+    // Every lab anchor's horizon lies inside the video, so every boundary
+    // is audited.
+    EVENTHIT_CHECK(truth != nullptr);
+    const obs::AuditOutcome outcome =
+        core::AuditOutcomeOf(*truth, decision, 0, anchor);
+    const bool present = outcome.truth_present;
+    const bool predicted = outcome.predicted_present;
+    const sim::Interval& interval = decision.intervals[0];
+    if (report.breach_time < 0 && session.auditor().any_breach()) {
+      report.breach_time = anchor;
     }
-  }
-  auditor.Finalize(report.stream_end);
-  report.end_breached = auditor.any_breach();
-  if (loop != nullptr) {
-    report.recal = loop->stats();
+
+    RecoveryPhase* phase = &report.pre_shift;
+    if (anchor >= report.shift_frame) {
+      phase = report.first_swap_time >= 0 ? &report.post_swap
+                                          : &report.post_shift;
+    }
+    ++phase->boundaries;
+    if (predicted) phase->relayed_frames += interval.length();
+    if (present) {
+      ++phase->positives;
+      if (!predicted) ++phase->misses;
+    }
+    if (present && predicted) {
+      phase->endpoints += 2;
+      phase->miscovered += core::MiscoveredEndpoints(outcome);
+    }
+
+    report.decision_digest =
+        FnvFold(report.decision_digest, static_cast<uint64_t>(anchor));
+    report.decision_digest =
+        FnvFold(report.decision_digest, predicted ? 1 : 0);
+    report.decision_digest = FnvFold(report.decision_digest,
+                                     static_cast<uint64_t>(interval.start));
+    report.decision_digest = FnvFold(report.decision_digest,
+                                     static_cast<uint64_t>(interval.end));
+
+    // Restore tracking: indicators accumulate only after a swap (and
+    // restart at every subsequent swap).
+    if (report.first_swap_time >= 0) {
+      if (present) miss_window.Add(!predicted);
+      if (present && predicted) {
+        cover_window.Add(!outcome.start_covered);
+        cover_window.Add(!outcome.end_covered);
+      }
+      if (report.restore_time < 0 && miss_window.Full() &&
+          cover_window.Full() && miss_window.Rate() <= miss_burn &&
+          cover_window.Rate() <= miscover_burn) {
+        report.restore_time = anchor;
+      }
+    }
+
+    if (swapped) {
+      if (report.first_swap_time < 0) report.first_swap_time = anchor;
+      miss_window.Reset();
+      cover_window.Reset();
+      report.restore_time = -1;
+    }
+  };
+
+  fleet::StreamSession session(std::move(spec));
+  session.RunSolo();
+  report.end_breached = session.auditor().any_breach();
+  if (session.recal() != nullptr) {
+    report.recal = session.recal()->stats();
     report.alarm_time = report.recal.first_alarm_time;
     report.swap_count = report.recal.swaps;
   }

@@ -4,9 +4,10 @@
 //
 // One run: generate a single-event stream that shifts regimes at a known
 // frame (sim/drift_scenario.h), train + conformally calibrate EventHit on
-// the stationary prefix, then stream the remainder through a live
-// Marshaller + GuarantyAuditor with the recalibration loop either armed or
-// disarmed. The report pins the full causal chain on the simulated clock:
+// the stationary prefix, then stream the remainder through one
+// fleet::StreamSession (the same per-stream wiring the fleet serves) with
+// the recalibration loop either armed or disarmed. The report pins the
+// full causal chain on the simulated clock:
 //
 //   breach (or drift alarm) → recalibration trigger → hot swap →
 //   coverage restored
@@ -23,8 +24,8 @@
 // only parallelises conformal calibration, which is deterministic by
 // contract); `decision_digest` folds every completed decision for exact
 // replay comparisons.
-#ifndef EVENTHIT_ADAPT_RECOVERY_LAB_H_
-#define EVENTHIT_ADAPT_RECOVERY_LAB_H_
+#ifndef EVENTHIT_FLEET_RECOVERY_LAB_H_
+#define EVENTHIT_FLEET_RECOVERY_LAB_H_
 
 #include <cstdint>
 #include <string>
@@ -161,4 +162,4 @@ Result<RecoveryControl> RunRecoveryControl(const RecoveryLabConfig& config);
 
 }  // namespace eventhit::adapt
 
-#endif  // EVENTHIT_ADAPT_RECOVERY_LAB_H_
+#endif  // EVENTHIT_FLEET_RECOVERY_LAB_H_

@@ -2,21 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
-#include "adapt/recal_loop.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/table_printer.h"
 #include "common/thread_pool.h"
-#include "data/record_extractor.h"
 #include "fleet/dynamic_batcher.h"
 #include "fleet/mpsc_queue.h"
 #include "fleet/shard_arena.h"
-#include "nn/backend.h"
-#include "obs/audit.h"
 #include "obs/schema.h"
 #include "sched/collect_policy.h"
 #include "sched/cost_model.h"
@@ -34,27 +31,6 @@ constexpr uint64_t kRelaySalt = 3;
 constexpr uint64_t kPhaseSalt = 5;
 constexpr uint64_t kMixSalt = 6;
 
-// FNV-1a 64-bit.
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t FnvI64(uint64_t h, int64_t v) { return FnvBytes(h, &v, sizeof(v)); }
-
-uint64_t FnvF64(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return FnvBytes(h, &bits, sizeof(bits));
-}
-
 double Percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
   const size_t rank = static_cast<size_t>(
@@ -65,84 +41,111 @@ double Percentile(std::vector<double> values, double q) {
 
 }  // namespace
 
-// Per-stream shard: every component a tenant stream owns, plus the digest
-// accumulators. Lives in a ShardArena slot so adjacent streams never share
-// a cache line while parallel phases mutate them.
-struct StreamFleet::StreamState {
-  StreamSettings settings;
-  data::ExtractorConfig extractor;
-  std::unique_ptr<sim::SyntheticVideo> video;
-  std::unique_ptr<cloud::CloudService> service;
-  std::unique_ptr<sim::FaultInjector> faults;
-  std::unique_ptr<cloud::CloudRelay> relay;
-  std::unique_ptr<core::Marshaller> marshaller;
-  std::unique_ptr<obs::GuarantyAuditor> auditor;
-  // Private decision strategy: same model/calibrators/options as the fleet
-  // template, but swappable per stream by the recalibration loop.
-  std::unique_ptr<core::EventHitStrategy> strategy;
-  std::unique_ptr<adapt::RecalLoop> recal;
-  // Decision provenance ledger (nullptr when FleetConfig::provenance is
-  // off). Single-writer: only the thread owning this shard touches it.
-  std::unique_ptr<obs::StreamProvenance> provenance;
-  // Scores of the boundary currently completing (ApplyCompletion scope);
-  // nullptr during policy-reused completions, which carry no fresh scores.
-  const core::EventScores* completing_scores = nullptr;
-
-  int64_t next_frame = 0;         // Local push cursor.
-  int64_t seq = 0;                // Requests issued.
-  int64_t billed_microusd = 0;    // Invoice already reported to the fleet.
-  // Most recent offending decision ids (completion order on the stream
-  // clock) — the exemplars folded into the exported audit counters.
-  int64_t last_miss_decision = -1;
-  int64_t last_miscover_decision = -1;
-  uint64_t decision_digest = kFnvOffset;
-  uint64_t delivery_digest = kFnvOffset;
-  bool transcripts_on = false;
-  StreamTranscript transcript;
-  data::Record pending_record;    // Scratch between push and enqueue.
-  bool has_request = false;
-};
-
-bool SameStreamResult(const FleetStreamResult& a, const FleetStreamResult& b) {
-  auto bits = [](double v) {
-    uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
+Result<FleetConfig> ParseFleetFlags(const Flags& flags) {
+  FleetConfig config;
+  auto runner = eval::ParseRunnerFlags(flags);
+  if (!runner.ok()) return runner.status();
+  config.runner = runner.value();
+  config.base_seed = config.runner.seed;
+  // Reads each flag with its FleetConfig default; the first malformed one
+  // becomes the result.
+  Status status = OkStatus();
+  const auto read = [&](auto parsed, auto* field) {
+    if (parsed.ok()) {
+      *field = static_cast<std::remove_pointer_t<decltype(field)>>(
+          parsed.value());
+    } else if (status.ok()) {
+      status = parsed.status();
+    }
   };
-  return a.stream_index == b.stream_index &&
-         a.decision_digest == b.decision_digest &&
-         a.delivery_digest == b.delivery_digest &&
-         a.state_digest == b.state_digest &&
-         std::memcmp(&a.marshaller, &b.marshaller, sizeof(a.marshaller)) ==
-             0 &&
-         std::memcmp(&a.relay, &b.relay, sizeof(a.relay)) == 0 &&
-         a.invoice.frames_processed == b.invoice.frames_processed &&
-         a.invoice.requests == b.invoice.requests &&
-         bits(a.invoice.total_cost_usd) == bits(b.invoice.total_cost_usd) &&
-         bits(a.invoice.compute_seconds) == bits(b.invoice.compute_seconds) &&
-         a.audit_positives == b.audit_positives &&
-         a.audit_misses == b.audit_misses &&
-         a.audit_endpoints == b.audit_endpoints &&
-         a.audit_miscovered == b.audit_miscovered &&
-         a.audit_breaches == b.audit_breaches &&
-         a.last_miss_decision == b.last_miss_decision &&
-         a.last_miscover_decision == b.last_miscover_decision &&
-         a.last_breach_decision == b.last_breach_decision &&
-         a.recal_triggers_breach == b.recal_triggers_breach &&
-         a.recal_triggers_drift == b.recal_triggers_drift &&
-         a.recal_refusals_cooldown == b.recal_refusals_cooldown &&
-         a.recal_refusals_min_samples == b.recal_refusals_min_samples &&
-         a.recal_swaps == b.recal_swaps &&
-         a.recal_last_swap_frame == b.recal_last_swap_frame &&
-         // The provenance digest folds only clock-pure stamps, so it must
-         // be bit-identical between a solo replay and any fleet run. The
-         // rollup is deliberately excluded: its batch-residency fields
-         // differ between solo and fleet by design.
-         a.provenance_digest == b.provenance_digest &&
-         a.provenance_boundaries == b.provenance_boundaries &&
-         a.provenance_recorded == b.provenance_recorded &&
-         a.provenance_overflowed == b.provenance_overflowed;
+  read(flags.GetInt("streams", config.num_streams), &config.num_streams);
+  read(flags.GetInt("frames", config.frames_per_stream),
+       &config.frames_per_stream);
+  int64_t batch = static_cast<int64_t>(config.batch_size);
+  read(flags.GetInt("batch", batch), &batch);
+  read(flags.GetInt("max-delay", config.max_batch_delay_ticks),
+       &config.max_batch_delay_ticks);
+  read(flags.GetInt("wave", config.wave_size), &config.wave_size);
+  read(flags.GetInt("threads", config.threads), &config.threads);
+  read(flags.GetDouble("confidence", config.confidence), &config.confidence);
+  read(flags.GetDouble("coverage", config.coverage), &config.coverage);
+  read(flags.GetInt("fault-seed", static_cast<int64_t>(config.fault_seed)),
+       &config.fault_seed);
+  double budget_cap_usd = 0.0;
+  read(flags.GetDouble("budget-cap-usd", 0.0), &budget_cap_usd);
+  if (!status.ok()) return status;
+  if (batch < 1 || config.threads < 0) {
+    return InvalidArgumentError("--batch must be >= 1, --threads >= 0");
+  }
+  config.batch_size = static_cast<size_t>(batch);
+  config.budget_cap_microusd = static_cast<int64_t>(budget_cap_usd * 1e6);
+  config.fault_profile = flags.GetString("fault-profile", "none");
+  const std::string mode = flags.GetString("degraded-mode", "drop");
+  const std::string recal = flags.GetString("recal", "off");
+  const std::string provenance = flags.GetString("provenance", "on");
+  if (mode != "drop" && mode != "buffer") {
+    return InvalidArgumentError("--degraded-mode must be drop or buffer");
+  }
+  if (recal != "on" && recal != "off") {
+    return InvalidArgumentError("--recal must be on or off");
+  }
+  if (provenance != "on" && provenance != "off") {
+    return InvalidArgumentError("--provenance must be on or off");
+  }
+  config.degraded_mode = mode == "buffer"
+                             ? cloud::DegradedMode::kBufferAndReplay
+                             : cloud::DegradedMode::kDropWithAccounting;
+  config.recal = recal == "on";
+  config.provenance = provenance == "on";
+  return config;
 }
+
+Status ValidateFleetConfig(const data::Task& task, const FleetConfig& config) {
+  if (config.num_streams < 1 || config.batch_size < 1 ||
+      config.wave_size < 1) {
+    return InvalidArgumentError(
+        "fleet: --streams, --batch and --wave must be >= 1");
+  }
+  if (config.max_batch_delay_ticks < 0 || config.frames_per_stream < 0) {
+    return InvalidArgumentError(
+        "fleet: --max-delay and --frames must be >= 0");
+  }
+  const auto profile =
+      sim::MakeFaultProfile(config.fault_profile, config.fault_seed);
+  if (!profile.ok()) return profile.status();
+  const sim::DatasetSpec spec = sim::MakeDatasetSpec(task.dataset);
+  const int64_t frames = config.frames_per_stream > 0
+                             ? config.frames_per_stream
+                             : spec.num_frames;
+  const int64_t margin = static_cast<int64_t>(spec.horizon) +
+                         static_cast<int64_t>(spec.collection_window);
+  if (frames <= margin) {
+    return InvalidArgumentError(
+        "fleet: --frames=" + std::to_string(frames) + " must exceed H + M = " +
+        std::to_string(margin) + " on " + task.name +
+        " so every stream reaches a prediction boundary");
+  }
+  if (config.runner.collect_policy.kind != sched::CollectPolicyKind::kFull &&
+      config.max_batch_delay_ticks >= spec.horizon) {
+    return InvalidArgumentError(
+        "fleet: --collect-policy=" +
+        sched::CollectPolicyName(config.runner.collect_policy) +
+        " needs --max-delay < H = " + std::to_string(spec.horizon) +
+        " (the policy schedules on completed scores)");
+  }
+  return OkStatus();
+}
+
+// Per-stream arena slot: the stream's session plus the fleet-side
+// scheduling state. The arena keeps adjacent slots off each other's cache
+// lines while parallel phases mutate them.
+struct StreamFleet::Shard {
+  std::unique_ptr<sim::SyntheticVideo> video;
+  int64_t phase = 0;  // Fleet tick the stream starts pushing.
+  std::optional<StreamSession> session;
+  int64_t seq = 0;       // Requests issued.
+  data::Record pending;  // Scratch between push and enqueue.
+};
 
 StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
                          obs::MetricsRegistry* metrics,
@@ -152,8 +155,7 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
       metrics_(metrics != nullptr ? metrics
                                   : &obs::MetricsRegistry::Global()),
       trace_(trace) {
-  EVENTHIT_CHECK_GT(config_.num_streams, 0);
-  EVENTHIT_CHECK_GT(config_.wave_size, 0);
+  EVENTHIT_CHECK_OK(ValidateFleetConfig(task_, config_));
   threads_ = config_.threads <= 0 ? ThreadPool::DefaultThreads()
                                   : config_.threads;
 
@@ -168,14 +170,27 @@ StreamFleet::StreamFleet(const data::Task& task, const FleetConfig& config,
   const ExecutionContext train_ctx(threads_, config_.runner.seed);
   trained_ = std::make_unique<eval::TrainedEventHit>(
       eval::TrainEventHit(*env_, config_.runner, 0.5, train_ctx));
-  core::EventHitStrategyOptions options;
-  options.use_cclassify = true;
-  options.use_cregress = true;
-  options.confidence = config_.confidence;
-  options.coverage = config_.coverage;
+
   strategy_ = std::make_unique<core::EventHitStrategy>(
-      trained_->model.get(), trained_->cclassify.get(),
-      trained_->cregress.get(), options);
+      eval::MakeEhcr(*trained_, config_.confidence, config_.coverage));
+
+  SessionSpec& spec = session_spec_;
+  spec.task = &task_;
+  spec.model = trained_->model.get();
+  spec.strategy = strategy_.get();
+  spec.audit.confidence = config_.confidence;
+  spec.audit.coverage = config_.coverage;
+  spec.fault_profile = config_.fault_profile;
+  spec.degraded_mode = config_.degraded_mode;
+  spec.collect_policy = config_.runner.collect_policy;
+  spec.recal = config_.recal;
+  spec.recal_config = config_.recal_config;
+  spec.provenance = config_.provenance;
+  spec.provenance_ring = config_.provenance_ring;
+  spec.export_provenance_records = config_.collect_provenance_records;
+  spec.metrics = stream_metrics_.get();
+  spec.log = stream_log_.get();
+  spec.spend_microusd = &budget_spend_microusd_;
 
   streams_completed_metric_ =
       metrics_->GetCounter(obs::names::kFleetStreamsCompleted);
@@ -220,10 +235,8 @@ StreamSettings StreamFleet::DeriveStreamSettings(int stream_index) const {
                 ? static_cast<int64_t>(SplitSeed(s.stream_seed, kPhaseSalt) %
                                        static_cast<uint64_t>(kStaggerWindow))
                 : 0;
-  if (config_.vary_event_mix) {
-    static constexpr double kGapScales[] = {0.75, 1.0, 1.5};
-    s.gap_scale = kGapScales[SplitSeed(s.stream_seed, kMixSalt) % 3];
-  }
+  static constexpr double kGapScales[] = {0.75, 1.0, 1.5};
+  s.gap_scale = kGapScales[SplitSeed(s.stream_seed, kMixSalt) % 3];
   s.spec = sim::MakeDatasetSpec(task_.dataset);
   if (config_.frames_per_stream > 0) {
     s.spec.num_frames = config_.frames_per_stream;
@@ -238,17 +251,13 @@ StreamSettings StreamFleet::DeriveStreamSettings(int stream_index) const {
   return s;
 }
 
-void StreamFleet::InitStream(StreamState& state, int stream_index) {
-  state.settings = DeriveStreamSettings(stream_index);
-  const StreamSettings& s = state.settings;
-  state.extractor.collection_window = s.spec.collection_window;
-  state.extractor.horizon = s.spec.horizon;
-  state.transcripts_on = config_.record_transcripts;
-
-  if (config_.provenance) {
-    state.provenance = std::make_unique<obs::StreamProvenance>(
-        stream_index, s.spec.collection_window, s.spec.horizon,
-        config_.provenance_ring);
+void StreamFleet::OpenShard(Shard& shard, int stream_index) {
+  const StreamSettings s = DeriveStreamSettings(stream_index);
+  if (config_.runner.collect_policy.kind != sched::CollectPolicyKind::kFull) {
+    // The policy's schedule feeds on completed scores, so batching delay
+    // must stay under one horizon (Marshaller::set_collect_policy).
+    EVENTHIT_CHECK_LT(config_.max_batch_delay_ticks,
+                      static_cast<int64_t>(s.spec.horizon));
   }
   // Per-tenant Perfetto track on the simulated timeline: tenant spans
   // (auditor breaches) carry tid = stream index, and the thread_name
@@ -257,314 +266,16 @@ void StreamFleet::InitStream(StreamState& state, int stream_index) {
     trace_->SetThreadName(obs::kSimulatedPid, stream_index,
                           "tenant" + std::to_string(stream_index));
   }
-
-  state.video = std::make_unique<sim::SyntheticVideo>(
+  shard.video = std::make_unique<sim::SyntheticVideo>(
       sim::SyntheticVideo::Generate(s.spec, s.video_seed));
-  state.service = std::make_unique<cloud::CloudService>(
-      state.video.get(), cloud::CloudConfig{}, s.cloud_seed,
-      stream_metrics_.get());
-
-  if (config_.fault_profile != "none" && !config_.fault_profile.empty()) {
-    auto profile = sim::MakeFaultProfile(config_.fault_profile, s.fault_seed);
-    EVENTHIT_CHECK_OK(profile.status());
-    state.faults = std::make_unique<sim::FaultInjector>(profile.value());
-  }
-
-  cloud::RelayConfig relay_config;
-  relay_config.degraded_mode = config_.degraded_mode;
-  relay_config.replay_horizon_frames = s.spec.horizon;
-  state.relay = std::make_unique<cloud::CloudRelay>(
-      state.service.get(), relay_config, s.relay_seed, state.faults.get(),
-      stream_metrics_.get(), /*trace=*/nullptr, stream_log_.get());
-  state.relay->set_delivery_callback(
-      [&state](const cloud::RelayDelivery& delivery) {
-        uint64_t h = state.delivery_digest;
-        h = FnvI64(h, delivery.request_id);
-        h = FnvI64(h, static_cast<int64_t>(delivery.event));
-        h = FnvI64(h, delivery.frames.start);
-        h = FnvI64(h, delivery.frames.end);
-        h = FnvI64(h, delivery.replayed ? 1 : 0);
-        for (const bool hit : delivery.detections) {
-          h = FnvI64(h, hit ? 1 : 0);
-        }
-        state.delivery_digest = h;
-        if (state.transcripts_on) {
-          StreamTranscript::Delivery entry;
-          entry.request_id = delivery.request_id;
-          entry.event = delivery.event;
-          entry.frames = delivery.frames;
-          entry.replayed = delivery.replayed;
-          entry.detections.assign(delivery.detections.begin(),
-                                  delivery.detections.end());
-          state.transcript.deliveries.push_back(std::move(entry));
-        }
-      });
-
-  // Clone the template strategy so this stream owns its thresholds: the
-  // recalibration loop may hot-swap per-stream calibrators, and even with
-  // recal off every boundary must take the identical (private) code path.
-  core::EventHitStrategyOptions options;
-  options.use_cclassify = true;
-  options.use_cregress = true;
-  options.confidence = config_.confidence;
-  options.coverage = config_.coverage;
-  state.strategy = std::make_unique<core::EventHitStrategy>(
-      trained_->model.get(), trained_->cclassify.get(),
-      trained_->cregress.get(), options);
-
-  state.marshaller = std::make_unique<core::Marshaller>(
-      state.strategy.get(), s.spec.collection_window, s.spec.horizon,
-      s.spec.FeatureDim(), task_.event_indices.size(),
-      stream_metrics_.get());
-  state.marshaller->set_provenance(state.provenance.get());
-  // The order carries its own anchor: reused (policy-skipped) completions
-  // fire inside PushFrameDeferred during the parallel push phase, where no
-  // flush-side "current anchor" exists.
-  state.marshaller->set_relay_callback(
-      [&state](const core::RelayOrder& order) {
-        const cloud::RelayResult result =
-            state.relay->Submit(order.event, order.frames, order.anchor);
-        if (state.provenance != nullptr) {
-          state.provenance->StampRelay(
-              order.anchor, result.attempts,
-              static_cast<int8_t>(result.outcome),
-              static_cast<int8_t>(state.relay->breaker_state()));
-        }
-      });
-  // All post-completion stream accounting (relay clock, digests, audit,
-  // budget) rides the marshaller's completion callback so scored and
-  // reused boundaries take the identical path in stream order.
-  state.marshaller->set_decision_callback(
-      [this, &state](int64_t anchor, const core::MarshalDecision& decision,
-                     bool /*reused*/) { OnCompletion(state, anchor, decision); });
-  if (config_.runner.collect_policy.kind != sched::CollectPolicyKind::kFull) {
-    // The policy's schedule feeds on completed scores, so batching delay
-    // must stay under one horizon (Marshaller::set_collect_policy).
-    EVENTHIT_CHECK_LT(config_.max_batch_delay_ticks,
-                      static_cast<int64_t>(s.spec.horizon));
-    state.marshaller->set_collect_policy(
-        sched::MakeCollectPolicy(config_.runner.collect_policy));
-    sched::LocalCostModel cost;
-    cost.forward_mflops_per_boundary = sched::EstimateForwardMflops(
-        s.spec.collection_window, static_cast<int>(s.spec.FeatureDim()),
-        config_.runner.model_template.lstm_hidden,
-        config_.runner.model_template.shared_dim,
-        config_.runner.model_template.event_hidden,
-        static_cast<int>(task_.event_indices.size()), s.spec.horizon);
-    state.marshaller->set_cost_model(cost);
-  }
-
-  obs::AuditConfig audit_config;
-  audit_config.confidence = config_.confidence;
-  audit_config.coverage = config_.coverage;
-  audit_config.sim_tid = stream_index;
-  state.auditor = std::make_unique<obs::GuarantyAuditor>(
-      audit_config, stream_metrics_.get(), /*trace=*/nullptr,
-      stream_log_.get());
-
-  if (config_.recal) {
-    state.recal = std::make_unique<adapt::RecalLoop>(
-        trained_->model.get(), state.strategy.get(), state.auditor.get(),
-        config_.recal_config, stream_metrics_.get());
-  }
-}
-
-void StreamFleet::ApplyCompletion(StreamState& state, int64_t anchor,
-                                  const core::EventScores& scores) {
-  // The completion callback registered in InitStream performs all
-  // post-completion accounting; `anchor` only cross-checks FIFO order.
-  // Deciding here, against the stream's own strategy, keeps a recal swap
-  // on one stream invisible to every other stream in the same batch.
-  // The backend and conformal generation live at scoring time: a recal
-  // swap between this boundary's scoring and a later one must show the
-  // generation the decision actually used.
-  if (state.provenance != nullptr) {
-    state.provenance->StampInference(
-        anchor, nn::BackendKindName(trained_->model->inference_backend()),
-        state.strategy->calibrator_generation());
-  }
-  state.completing_scores = &scores;
-  state.marshaller->CompletePrediction(
-      state.strategy->DecideFromScores(scores));
-  state.completing_scores = nullptr;
-}
-
-void StreamFleet::OnCompletion(StreamState& state, int64_t anchor,
-                               const core::MarshalDecision& decision) {
-  // The relay clock runs on the completion's own anchor frame — batching
-  // delay must never shift simulated time (determinism contract).
-  state.relay->AdvanceTo(anchor);
-
-  uint64_t h = state.decision_digest;
-  h = FnvI64(h, anchor);
-  for (size_t k = 0; k < decision.exists.size(); ++k) {
-    h = FnvI64(h, decision.exists[k] ? 1 : 0);
-    h = FnvI64(h, decision.intervals[k].start);
-    h = FnvI64(h, decision.intervals[k].end);
-  }
-  state.decision_digest = h;
-  if (state.transcripts_on) {
-    StreamTranscript::Decision entry;
-    entry.anchor = anchor;
-    entry.exists.assign(decision.exists.begin(), decision.exists.end());
-    entry.intervals = decision.intervals;
-    state.transcript.decisions.push_back(std::move(entry));
-  }
-
-  // Audit against ground truth (every pushed anchor has its horizon inside
-  // the generated stream by construction: push_frames = frames - H).
-  const int64_t window = state.extractor.collection_window;
-  if (anchor >= window - 1 &&
-      anchor + state.extractor.horizon < state.video->num_frames()) {
-    const data::Record truth =
-        data::BuildRecord(*state.video, task_, state.extractor, anchor);
-    EVENTHIT_CHECK_EQ(decision.exists.size(), truth.labels.size());
-    const int64_t decision_id =
-        state.provenance != nullptr
-            ? state.provenance->DecisionIdOfAnchor(anchor)
-            : -1;
-    for (size_t k = 0; k < truth.labels.size(); ++k) {
-      const data::EventLabel& label = truth.labels[k];
-      obs::AuditOutcome outcome;
-      outcome.sim_time = anchor;
-      outcome.event = static_cast<int>(k);
-      outcome.truth_present = label.present;
-      outcome.predicted_present = decision.exists[k];
-      outcome.decision_id = decision_id;
-      if (label.present && decision.exists[k]) {
-        const sim::Interval& interval = decision.intervals[k];
-        outcome.start_covered = interval.start <= label.start;
-        outcome.end_covered = interval.end >= label.end;
-      }
-      state.auditor->Observe(outcome);
-      if (state.provenance != nullptr) {
-        const bool missed = label.present && !decision.exists[k];
-        const int miscovered =
-            label.present && decision.exists[k]
-                ? (outcome.start_covered ? 0 : 1) +
-                      (outcome.end_covered ? 0 : 1)
-                : 0;
-        state.provenance->StampVerdict(anchor, label.present, missed,
-                                       miscovered);
-        if (missed) state.last_miss_decision = decision_id;
-        if (miscovered > 0) state.last_miscover_decision = decision_id;
-      }
-    }
-    // Feed the recalibration loop after the auditor so a breach latched by
-    // this very boundary can trigger on it. Policy-reused completions carry
-    // no fresh scores and are skipped — identical in fleet and solo runs.
-    if (state.recal != nullptr && state.completing_scores != nullptr) {
-      state.recal->Observe(anchor, truth, *state.completing_scores);
-    }
-  }
-
-  // Report the invoice delta to the shared budget accountant in integer
-  // micro-USD: integer adds commute, so the aggregate at a tick boundary
-  // is independent of completion interleaving.
-  const int64_t total_microusd = static_cast<int64_t>(
-      std::llround(state.service->invoice().total_cost_usd * 1e6));
-  budget_spend_microusd_.fetch_add(total_microusd - state.billed_microusd,
-                                   std::memory_order_relaxed);
-  state.billed_microusd = total_microusd;
-}
-
-FleetStreamResult StreamFleet::FinishStream(StreamState& state) {
-  EVENTHIT_CHECK_EQ(state.marshaller->pending_predictions(), 0u);
-  state.relay->Flush(state.settings.push_frames);
-  state.auditor->Finalize(state.settings.push_frames);
-
-  // Deliveries can still arrive from the final replay pass inside Flush —
-  // the digest callback has already folded them in.
-  FleetStreamResult result;
-  result.stream_index = state.settings.stream_index;
-  result.decision_digest = state.decision_digest;
-  result.delivery_digest = state.delivery_digest;
-  result.marshaller = state.marshaller->stats();
-  result.relay = state.relay->stats();
-  result.invoice = state.service->invoice();
-  const size_t num_events = task_.event_indices.size();
-  for (size_t k = 0; k < num_events; ++k) {
-    result.audit_positives += state.auditor->positives(static_cast<int>(k));
-    result.audit_misses += state.auditor->misses(static_cast<int>(k));
-    result.audit_endpoints += state.auditor->endpoints(static_cast<int>(k));
-    result.audit_miscovered +=
-        state.auditor->miscovered(static_cast<int>(k));
-  }
-  result.audit_breaches = state.auditor->breach_count();
-  result.last_miss_decision = state.last_miss_decision;
-  result.last_miscover_decision = state.last_miscover_decision;
-  result.last_breach_decision = state.auditor->last_breach_decision_id();
-  if (state.recal != nullptr) {
-    const adapt::RecalStats& rs = state.recal->stats();
-    result.recal_triggers_breach = rs.triggers_breach;
-    result.recal_triggers_drift = rs.triggers_drift;
-    result.recal_refusals_cooldown = rs.refusals_cooldown;
-    result.recal_refusals_min_samples = rs.refusals_min_samples;
-    result.recal_swaps = rs.swaps;
-    result.recal_last_swap_frame = rs.last_swap_time;
-  }
-  if (state.provenance != nullptr) {
-    result.provenance_digest = state.provenance->Digest();
-    result.provenance_boundaries = state.provenance->boundaries();
-    result.provenance_recorded = state.provenance->recorded();
-    result.provenance_overflowed = state.provenance->overflowed();
-    result.provenance_rollup = state.provenance->rollup();
-    if (config_.collect_provenance_records) {
-      result.provenance_records = state.provenance->ExportResident();
-    }
-  }
-
-  uint64_t h = result.decision_digest;
-  h = FnvI64(h, static_cast<int64_t>(result.delivery_digest));
-  h = FnvI64(h, result.marshaller.frames_seen);
-  h = FnvI64(h, result.marshaller.horizons_predicted);
-  h = FnvI64(h, result.marshaller.frames_relayed);
-  h = FnvI64(h, result.marshaller.relay_orders);
-  h = FnvI64(h, result.marshaller.horizons_reused);
-  h = FnvI64(h, result.marshaller.frames_scored);
-  h = FnvI64(h, result.marshaller.frames_skipped);
-  h = FnvI64(h, result.marshaller.local_mflops);
-  h = FnvI64(h, result.marshaller.saved_mflops);
-  h = FnvI64(h, result.relay.orders_submitted);
-  h = FnvI64(h, result.relay.orders_delivered);
-  h = FnvI64(h, result.relay.orders_replayed);
-  h = FnvI64(h, result.relay.orders_dropped);
-  h = FnvI64(h, result.relay.frames_submitted);
-  h = FnvI64(h, result.relay.frames_delivered);
-  h = FnvI64(h, result.relay.frames_dropped);
-  h = FnvI64(h, result.relay.frames_pending);
-  h = FnvI64(h, result.relay.frames_in_flight);
-  h = FnvI64(h, result.relay.attempts);
-  h = FnvI64(h, result.relay.retries);
-  h = FnvI64(h, result.invoice.frames_processed);
-  h = FnvI64(h, result.invoice.requests);
-  h = FnvF64(h, result.invoice.total_cost_usd);
-  h = FnvF64(h, result.invoice.compute_seconds);
-  h = FnvI64(h, result.audit_positives);
-  h = FnvI64(h, result.audit_misses);
-  h = FnvI64(h, result.audit_endpoints);
-  h = FnvI64(h, result.audit_miscovered);
-  h = FnvI64(h, result.audit_breaches);
-  h = FnvI64(h, result.last_miss_decision);
-  h = FnvI64(h, result.last_miscover_decision);
-  h = FnvI64(h, result.last_breach_decision);
-  h = FnvI64(h, result.recal_triggers_breach);
-  h = FnvI64(h, result.recal_triggers_drift);
-  h = FnvI64(h, result.recal_refusals_cooldown);
-  h = FnvI64(h, result.recal_refusals_min_samples);
-  h = FnvI64(h, result.recal_swaps);
-  h = FnvI64(h, result.recal_last_swap_frame);
-  // The provenance digest is itself clock-pure, so folding it here makes
-  // state_digest equality cover the full causal chain too.
-  h = FnvI64(h, static_cast<int64_t>(result.provenance_digest));
-  h = FnvI64(h, result.provenance_boundaries);
-  h = FnvI64(h, result.provenance_overflowed);
-  result.state_digest = h;
-
-  if (state.transcripts_on) {
-    result.transcript = std::move(state.transcript);
-  }
-  return result;
+  shard.phase = s.phase;
+  SessionSpec spec = session_spec_;
+  spec.stream_index = stream_index;
+  spec.video = shard.video.get();
+  spec.cloud_seed = s.cloud_seed;
+  spec.relay_seed = s.relay_seed;
+  spec.fault_seed = s.fault_seed;
+  shard.session.emplace(std::move(spec));
 }
 
 FleetRunResult StreamFleet::Run() {
@@ -587,22 +298,24 @@ FleetRunResult StreamFleet::Run() {
        wave_start += config_.wave_size) {
     const int wave_n =
         std::min(config_.wave_size, config_.num_streams - wave_start);
-    ShardArena<StreamState> arena(static_cast<size_t>(wave_n));
+    ShardArena<Shard> arena(static_cast<size_t>(wave_n));
     ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
-      InitStream(arena[i], wave_start + static_cast<int>(i));
+      OpenShard(arena[i], wave_start + static_cast<int>(i));
     });
 
     // Tick bounds and per-tick active-stream counts (difference array).
     int64_t max_ticks = 0;
     for (int i = 0; i < wave_n; ++i) {
-      const StreamSettings& s = arena[static_cast<size_t>(i)].settings;
-      max_ticks = std::max(max_ticks, s.phase + s.push_frames);
+      const Shard& shard = arena[static_cast<size_t>(i)];
+      max_ticks =
+          std::max(max_ticks, shard.phase + shard.session->push_frames());
     }
     std::vector<int64_t> active_delta(static_cast<size_t>(max_ticks) + 1, 0);
     for (int i = 0; i < wave_n; ++i) {
-      const StreamSettings& s = arena[static_cast<size_t>(i)].settings;
-      active_delta[static_cast<size_t>(s.phase)] += 1;
-      active_delta[static_cast<size_t>(s.phase + s.push_frames)] -= 1;
+      const Shard& shard = arena[static_cast<size_t>(i)];
+      active_delta[static_cast<size_t>(shard.phase)] += 1;
+      active_delta[static_cast<size_t>(shard.phase +
+                                       shard.session->push_frames())] -= 1;
     }
 
     MpscQueue<InferenceRequest> queue(static_cast<size_t>(wave_n));
@@ -620,25 +333,16 @@ FleetRunResult StreamFleet::Run() {
       // Push phase: every resident stream advances one local frame; the
       // prediction boundaries fan into the MPSC queue.
       ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
-        StreamState& state = arena[i];
-        const int64_t frame = tick - state.settings.phase;
-        if (frame < 0 || frame >= state.settings.push_frames) return;
-        EVENTHIT_CHECK_EQ(frame, state.next_frame);
-        // Skip feature extraction on frames the policy schedule proves no
-        // scored window will read (always needed without a policy).
-        const float* features = state.marshaller->NextFrameNeedsFeatures()
-                                    ? state.video->FrameFeatures(frame)
-                                    : nullptr;
-        state.has_request = state.marshaller->PushFrameDeferred(
-            features, &state.pending_record);
-        ++state.next_frame;
-        if (state.has_request) {
+        Shard& shard = arena[i];
+        const int64_t frame = tick - shard.phase;
+        if (frame < 0 || frame >= shard.session->push_frames()) return;
+        if (shard.session->Push(frame, &shard.pending)) {
           InferenceRequest request;
           request.shard_slot = static_cast<int>(i);
-          request.seq = state.seq++;
-          request.anchor_frame = state.pending_record.frame;
+          request.seq = shard.seq++;
+          request.anchor_frame = shard.pending.frame;
           request.enqueue_tick = tick;
-          request.record = std::move(state.pending_record);
+          request.record = std::move(shard.pending);
           EVENTHIT_CHECK(queue.TryPush(std::move(request)));
         }
       });
@@ -660,13 +364,17 @@ FleetRunResult StreamFleet::Run() {
       for (BatchFlush& flush : batcher.TakeReady(tick, final_tick)) {
         obs::TraceSpan span(trace_, obs::names::kSpanFleetBatch, "fleet");
         const size_t n = flush.requests.size();
-        int8_t flush_code = obs::kProvFlushNone;
-        switch (flush.reason) {
-          case FlushReason::kFull: flush_code = obs::kProvFlushFull; break;
-          case FlushReason::kDeadline:
-            flush_code = obs::kProvFlushDeadline;
-            break;
-          case FlushReason::kFinal: flush_code = obs::kProvFlushFinal; break;
+        int8_t flush_code = obs::kProvFlushFinal;
+        obs::Counter* flush_metric = flush_final_metric_;
+        int64_t* flush_count = &stats.flush_final;
+        if (flush.reason == FlushReason::kFull) {
+          flush_code = obs::kProvFlushFull;
+          flush_metric = flush_full_metric_;
+          flush_count = &stats.flush_full;
+        } else if (flush.reason == FlushReason::kDeadline) {
+          flush_code = obs::kProvFlushDeadline;
+          flush_metric = flush_deadline_metric_;
+          flush_count = &stats.flush_deadline;
         }
         // Batch ordinal within this run — stamped onto every member's
         // provenance record (never the digest: batch placement is a fleet
@@ -677,23 +385,15 @@ FleetRunResult StreamFleet::Run() {
         for (auto& request : flush.requests) {
           request_delay_metric_->Observe(
               static_cast<double>(tick - request.enqueue_tick));
-          StreamState& owner =
-              arena[static_cast<size_t>(request.shard_slot)];
-          if (owner.provenance != nullptr) {
-            owner.provenance->StampBatch(request.anchor_frame, batch_id,
-                                         flush_code,
-                                         tick - request.enqueue_tick);
-          }
           records.push_back(std::move(request.record));
         }
         std::vector<core::EventScores> scores(n);
         trained_->model->PredictBatched(records.data(), n, scores.data(),
                                         ws_);
         // Group completions by shard (order within a shard is preserved),
-        // then apply shard groups concurrently: different groups touch
-        // disjoint stream state (each stream decides with its own
-        // strategy inside ApplyCompletion, so no shared-strategy serial
-        // pass is needed).
+        // then complete shard groups concurrently: different groups touch
+        // disjoint sessions, and each session decides with its own
+        // strategy, so no shared-strategy serial pass is needed.
         std::vector<std::pair<size_t, size_t>> groups;  // [begin, end)
         for (size_t j = 0; j < n;) {
           size_t end = j + 1;
@@ -706,10 +406,10 @@ FleetRunResult StreamFleet::Run() {
         }
         ctx.ParallelFor(groups.size(), [&](size_t g) {
           for (size_t j = groups[g].first; j < groups[g].second; ++j) {
-            StreamState& state = arena[static_cast<size_t>(
-                flush.requests[j].shard_slot)];
-            ApplyCompletion(state, flush.requests[j].anchor_frame,
-                            scores[j]);
+            const InferenceRequest& request = flush.requests[j];
+            arena[static_cast<size_t>(request.shard_slot)].session->Complete(
+                scores[j], BatchStamp{batch_id, flush_code,
+                                      tick - request.enqueue_tick});
           }
         });
 
@@ -717,20 +417,8 @@ FleetRunResult StreamFleet::Run() {
         batch_fill_metric_->Observe(static_cast<double>(n));
         batch_fill_sum += static_cast<int64_t>(n);
         ++stats.batches;
-        switch (flush.reason) {
-          case FlushReason::kFull:
-            flush_full_metric_->Add(1);
-            ++stats.flush_full;
-            break;
-          case FlushReason::kDeadline:
-            flush_deadline_metric_->Add(1);
-            ++stats.flush_deadline;
-            break;
-          case FlushReason::kFinal:
-            flush_final_metric_->Add(1);
-            ++stats.flush_final;
-            break;
-        }
+        flush_metric->Add(1);
+        ++*flush_count;
       }
 
       // Serial tick boundary: frame accounting and the budget accountant.
@@ -747,21 +435,18 @@ FleetRunResult StreamFleet::Run() {
       }
 
       ++stats.ticks;
-      if (config_.collect_tick_latency) {
-        const double us =
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - tick_start)
-                .count();
-        tick_us.push_back(us);
-        frame_us.push_back(us / static_cast<double>(std::max<int64_t>(
-                                    1, active)));
-      }
+      const double us = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - tick_start)
+                            .count();
+      tick_us.push_back(us);
+      frame_us.push_back(us /
+                         static_cast<double>(std::max<int64_t>(1, active)));
     }
 
     EVENTHIT_CHECK_EQ(batcher.pending(), 0u);
     ctx.ParallelFor(static_cast<size_t>(wave_n), [&](size_t i) {
       run.streams[static_cast<size_t>(wave_start) + i] =
-          FinishStream(arena[i]);
+          arena[i].session->Finish();
     });
     streams_completed_metric_->Add(wave_n);
     streams_active_metric_->Set(0.0);
@@ -772,39 +457,25 @@ FleetRunResult StreamFleet::Run() {
   // offending stream's last offending decision id) is deterministic at any
   // thread count. The per-stream auditors themselves write to the private
   // stream registry; this is the fleet-wide aggregate a scrape sees.
-  obs::Counter* fleet_audit_misses =
-      metrics_->GetCounter(obs::names::kAuditMisses);
-  obs::Counter* fleet_audit_miscovered =
+  obs::Counter* misses = metrics_->GetCounter(obs::names::kAuditMisses);
+  obs::Counter* miscovered =
       metrics_->GetCounter(obs::names::kAuditMiscovered);
-  obs::Counter* fleet_audit_breaches =
-      metrics_->GetCounter(obs::names::kAuditBreaches);
+  obs::Counter* breaches = metrics_->GetCounter(obs::names::kAuditBreaches);
+  const auto fold = [](obs::Counter* counter, int64_t count,
+                       int64_t exemplar) {
+    if (count <= 0) return;
+    if (exemplar >= 0) {
+      counter->Add(count, exemplar);
+    } else {
+      counter->Add(count);
+    }
+  };
   for (const FleetStreamResult& result : run.streams) {
     stats.total_cost_usd += result.invoice.total_cost_usd;
     if (result.audit_breaches > 0) ++stats.streams_with_breaches;
-    if (result.audit_misses > 0) {
-      if (result.last_miss_decision >= 0) {
-        fleet_audit_misses->Add(result.audit_misses,
-                                result.last_miss_decision);
-      } else {
-        fleet_audit_misses->Add(result.audit_misses);
-      }
-    }
-    if (result.audit_miscovered > 0) {
-      if (result.last_miscover_decision >= 0) {
-        fleet_audit_miscovered->Add(result.audit_miscovered,
-                                    result.last_miscover_decision);
-      } else {
-        fleet_audit_miscovered->Add(result.audit_miscovered);
-      }
-    }
-    if (result.audit_breaches > 0) {
-      if (result.last_breach_decision >= 0) {
-        fleet_audit_breaches->Add(result.audit_breaches,
-                                  result.last_breach_decision);
-      } else {
-        fleet_audit_breaches->Add(result.audit_breaches);
-      }
-    }
+    fold(misses, result.audit_misses, result.last_miss_decision);
+    fold(miscovered, result.audit_miscovered, result.last_miscover_decision);
+    fold(breaches, result.audit_breaches, result.last_breach_decision);
   }
   stats.budget_spend_microusd =
       budget_spend_microusd_.load(std::memory_order_relaxed);
@@ -830,43 +501,10 @@ FleetRunResult StreamFleet::Run() {
 }
 
 FleetStreamResult StreamFleet::RunStreamSolo(int stream_index) {
-  StreamState state;
-  InitStream(state, stream_index);
-  nn::Workspace ws;
-  data::Record record;
-  int64_t solo_batches = 0;
-  for (int64_t frame = 0; frame < state.settings.push_frames; ++frame) {
-    const float* features = state.marshaller->NextFrameNeedsFeatures()
-                                ? state.video->FrameFeatures(frame)
-                                : nullptr;
-    if (!state.marshaller->PushFrameDeferred(features, &record)) {
-      continue;
-    }
-    // Solo scoring happens inline, so the batch stamp records zero
-    // residency and the solo flush reason (batch fields never enter the
-    // digest, so the solo == fleet digest contract is untouched).
-    if (state.provenance != nullptr) {
-      state.provenance->StampBatch(record.frame, solo_batches++,
-                                   obs::kProvFlushSolo, 0);
-    }
-    // Same scoring path as the fleet (PredictBatched at batch size 1 is
-    // bit-identical to any other composition by the PR 3 contract).
-    core::EventScores scores;
-    trained_->model->PredictBatched(&record, 1, &scores, ws);
-    ApplyCompletion(state, record.frame, scores);
-  }
-  return FinishStream(state);
+  Shard shard;
+  OpenShard(shard, stream_index);
+  return shard.session->RunSolo();
 }
-
-namespace {
-
-std::string Fixed(double value, int digits) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
-  return buffer;
-}
-
-}  // namespace
 
 FleetHealthReport BuildHealthReport(const FleetRunResult& run) {
   FleetHealthReport report;
@@ -944,10 +582,10 @@ std::string HealthReportText(const FleetHealthReport& report, int top_n) {
          ", relay orders dropped " +
          std::to_string(report.total_relay_dropped) + ", recal swaps " +
          std::to_string(report.total_recal_swaps) + "\n";
-  out += "  mean duty cycle " + Fixed(report.mean_duty_cycle, 3) +
-         ", worst miss rate " + Fixed(report.worst_miss_rate, 3) +
-         ", worst miscoverage " + Fixed(report.worst_miscover_rate, 3) +
-         ", spend $" + Fixed(report.total_spend_usd, 4) + "\n";
+  out += "  mean duty cycle " + Fmt(report.mean_duty_cycle, 3) +
+         ", worst miss rate " + Fmt(report.worst_miss_rate, 3) +
+         ", worst miscoverage " + Fmt(report.worst_miscover_rate, 3) +
+         ", spend $" + Fmt(report.total_spend_usd, 4) + "\n";
   const size_t rows = std::min<size_t>(
       report.streams.size(),
       static_cast<size_t>(std::max(0, top_n)));
@@ -981,20 +619,20 @@ std::string StreamHealthJson(const StreamHealth& h) {
   };
   field("stream", std::to_string(h.stream_index));
   field("boundaries", std::to_string(h.boundaries));
-  field("duty_cycle", Fixed(h.duty_cycle, 6));
-  field("miss_rate", Fixed(h.miss_rate, 6));
-  field("miscover_rate", Fixed(h.miscover_rate, 6));
+  field("duty_cycle", Fmt(h.duty_cycle, 6));
+  field("miss_rate", Fmt(h.miss_rate, 6));
+  field("miscover_rate", Fmt(h.miscover_rate, 6));
   field("breaches", std::to_string(h.breaches));
   field("recal_swaps", std::to_string(h.recal_swaps));
   field("relay_dropped_orders", std::to_string(h.relay_dropped_orders));
-  field("relay_drop_rate", Fixed(h.relay_drop_rate, 6));
+  field("relay_drop_rate", Fmt(h.relay_drop_rate, 6));
   field("breaker_state",
         "\"" + std::string(obs::ProvenanceBreakerName(h.breaker_state)) +
             "\"");
-  field("residency_p50", Fixed(h.residency_p50, 1));
-  field("residency_p99", Fixed(h.residency_p99, 1));
-  field("spend_usd", Fixed(h.spend_usd, 6));
-  field("badness", Fixed(h.badness, 3));
+  field("residency_p50", Fmt(h.residency_p50, 1));
+  field("residency_p99", Fmt(h.residency_p99, 1));
+  field("spend_usd", Fmt(h.spend_usd, 6));
+  field("badness", Fmt(h.badness, 3));
   out += '}';
   return out;
 }

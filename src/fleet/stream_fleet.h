@@ -16,9 +16,10 @@
 //     (Marshaller::CompletePrediction) in per-stream FIFO order;
 //   * the relay clock advances with the request's own anchor frame, not
 //     the flush tick, so batching delay never shifts simulated time.
-// RunStreamSolo() runs one stream through the identical per-stream state
-// machine without any batching, and the fleet bit-exactness test checks
-// byte equality of the two digests at multiple thread counts.
+// Every stream is one fleet::StreamSession (fleet/stream_session.h); Run()
+// is the tick/batch scheduler over a wave of sessions and RunStreamSolo()
+// completes one session at batch size 1, so the fleet bit-exactness test
+// compares the batched and unbatched drivers of the identical wiring.
 #ifndef EVENTHIT_FLEET_STREAM_FLEET_H_
 #define EVENTHIT_FLEET_STREAM_FLEET_H_
 
@@ -29,16 +30,16 @@
 #include <vector>
 
 #include "adapt/recal_loop.h"
-#include "cloud/cloud_service.h"
 #include "cloud/relay.h"
-#include "core/marshaller.h"
+#include "common/flags.h"
+#include "common/status.h"
 #include "core/strategies.h"
 #include "data/tasks.h"
 #include "eval/runner.h"
+#include "fleet/stream_session.h"
 #include "nn/workspace.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/provenance.h"
 #include "obs/trace.h"
 #include "sim/scene_spec.h"
 
@@ -66,9 +67,6 @@ struct FleetConfig {
   /// streams (exercises deadline flushes; local stream clocks are
   /// unaffected).
   bool stagger_phases = true;
-  /// Scale each stream's event mean gaps by a seed-derived factor so
-  /// tenants have distinct event mixes.
-  bool vary_event_mix = true;
   /// Worker threads (<= 0 resolves via ThreadPool::DefaultThreads()).
   int threads = 1;
   /// Conformal knobs of the shared EHCR strategy.
@@ -85,9 +83,6 @@ struct FleetConfig {
   /// feeds back into per-stream decisions — that would break the
   /// stream-solo determinism contract.
   int64_t budget_cap_microusd = 0;
-  /// Keep full per-stream decision/delivery transcripts (tests only; the
-  /// digests are always kept).
-  bool record_transcripts = false;
   /// Arm a per-stream recalibration loop (adapt/recal_loop.h): the
   /// stream's own auditor breach latches and drift alarms trigger conformal
   /// rebuilds that hot-swap into that stream's private strategy. All loop
@@ -96,8 +91,6 @@ struct FleetConfig {
   bool recal = false;
   /// Loop knobs (window capacity, guards, martingale) when `recal` is set.
   adapt::RecalConfig recal_config;
-  /// Collect per-tick wall latencies for the bench percentiles.
-  bool collect_tick_latency = true;
   /// Arm the per-stream decision provenance ledger (obs/provenance.h):
   /// every marshalling boundary gets a decision id whose causal chain
   /// (policy verdict, batch placement, backend + conformal generation,
@@ -119,6 +112,23 @@ struct FleetConfig {
   eval::RunnerConfig runner;
 };
 
+/// Reads the fleet knobs `fleet` and `explain` share from `flags`: the
+/// runner knobs (eval::ParseRunnerFlags, whose --seed is also the fleet's
+/// base seed), --streams, --frames, --batch, --max-delay, --wave,
+/// --threads, --confidence, --coverage, --fault-profile, --fault-seed,
+/// --degraded-mode, --budget-cap-usd, --recal and --provenance.
+/// InvalidArgument on a malformed value; ValidateFleetConfig checks the
+/// combination.
+Result<FleetConfig> ParseFleetFlags(const Flags& flags);
+
+/// InvalidArgument when `config` cannot run `task` — checked before any
+/// training, so a bad knob never costs a model fit: non-positive stream,
+/// batch or wave counts, a negative delay or frame count, an unknown fault
+/// profile, streams too short to reach one prediction boundary
+/// (frames <= H + M), or a non-full collect policy whose batching delay
+/// reaches a horizon (its schedule feeds on completed scores).
+Status ValidateFleetConfig(const data::Task& task, const FleetConfig& config);
+
 /// Stagger window (ticks) for seed-derived phase offsets.
 inline constexpr int64_t kStaggerWindow = 16;
 
@@ -136,73 +146,6 @@ struct StreamSettings {
   sim::DatasetSpec spec;    // Per-stream spec (frames + scaled gaps).
   int64_t push_frames = 0;  // Frames the stream pushes (= frames - H).
 };
-
-/// Optional full per-stream transcript (record_transcripts only).
-struct StreamTranscript {
-  struct Decision {
-    int64_t anchor = 0;
-    std::vector<uint8_t> exists;
-    std::vector<sim::Interval> intervals;
-  };
-  struct Delivery {
-    int64_t request_id = 0;
-    size_t event = 0;
-    sim::Interval frames;
-    bool replayed = false;
-    std::vector<uint8_t> detections;
-  };
-  std::vector<Decision> decisions;
-  std::vector<Delivery> deliveries;
-};
-
-/// Settled per-stream outcome. The digests are FNV-1a folds of the full
-/// decision/delivery/accounting byte streams; `state_digest` additionally
-/// folds the marshaller stats, relay stats, invoice and audit counts, so
-/// digest equality is byte-identity of everything observable.
-struct FleetStreamResult {
-  int stream_index = -1;
-  uint64_t decision_digest = 0;
-  uint64_t delivery_digest = 0;
-  uint64_t state_digest = 0;
-  core::MarshallerStats marshaller;
-  cloud::RelayStats relay;
-  cloud::Invoice invoice;
-  int64_t audit_positives = 0;
-  int64_t audit_misses = 0;
-  int64_t audit_endpoints = 0;
-  int64_t audit_miscovered = 0;
-  int64_t audit_breaches = 0;
-  // Most recent offending decision ids on this stream's clock (-1 when
-  // clean or when the ledger is off) — folded into the exported audit
-  // counters as OpenMetrics exemplars at end of run.
-  int64_t last_miss_decision = -1;
-  int64_t last_miscover_decision = -1;
-  int64_t last_breach_decision = -1;
-  // Recalibration-loop outcome (all zero / -1 when FleetConfig::recal is
-  // off). Folded into state_digest like the audit counts.
-  int64_t recal_triggers_breach = 0;
-  int64_t recal_triggers_drift = 0;
-  int64_t recal_refusals_cooldown = 0;
-  int64_t recal_refusals_min_samples = 0;
-  int64_t recal_swaps = 0;
-  int64_t recal_last_swap_frame = -1;
-  // Provenance ledger outcome (all zero when FleetConfig::provenance is
-  // off). The digest folds only clock-pure stamps, so it participates in
-  // the solo/fleet bit-exactness contract; the rollup carries batch
-  // residency and therefore legitimately differs between solo and fleet.
-  uint64_t provenance_digest = 0;
-  int64_t provenance_boundaries = 0;
-  int64_t provenance_recorded = 0;
-  int64_t provenance_overflowed = 0;
-  obs::ProvenanceRollup provenance_rollup;
-  /// Resident records (collect_provenance_records only).
-  std::vector<obs::ProvenanceRecord> provenance_records;
-  StreamTranscript transcript;
-};
-
-/// True when every field (doubles compared by bit pattern) matches — the
-/// bit-exactness predicate of the fleet tests.
-bool SameStreamResult(const FleetStreamResult& a, const FleetStreamResult& b);
 
 struct FleetRunStats {
   int64_t streams = 0;
@@ -285,7 +228,8 @@ std::string StreamHealthJson(const StreamHealth& health);
 class StreamFleet {
  public:
   /// Builds the shared environment and trains the one fleet model
-  /// (deterministic in config.runner.seed and thread count). Fleet-level
+  /// (deterministic in config.runner.seed and thread count). `config` must
+  /// pass ValidateFleetConfig (checked before training). Fleet-level
   /// telemetry goes to `metrics` (nullptr = the global registry) and
   /// fleet.batch spans to `trace` (nullptr disables). Per-stream
   /// components report into a fleet-private registry/logger so N streams
@@ -318,20 +262,11 @@ class StreamFleet {
   obs::MetricsRegistry& stream_metrics() { return *stream_metrics_; }
 
  private:
-  struct StreamState;  // Private per-stream shard (stream_fleet.cc).
+  struct Shard;  // Per-stream arena slot (stream_fleet.cc).
 
-  void InitStream(StreamState& state, int stream_index);
-  /// Completes one deferred boundary: decides from `scores` with the
-  /// stream's own strategy (so a recalibration swap on one stream never
-  /// leaks into another) and replays the inline completion path.
-  void ApplyCompletion(StreamState& state, int64_t anchor,
-                       const core::EventScores& scores);
-  /// Post-completion stream accounting (relay clock, digests, transcript,
-  /// audit, budget). Registered as the marshaller's decision callback so it
-  /// runs for scored and policy-reused completions alike, in stream order.
-  void OnCompletion(StreamState& state, int64_t anchor,
-                    const core::MarshalDecision& decision);
-  FleetStreamResult FinishStream(StreamState& state);
+  /// Derives stream `stream_index`'s settings, generates its video and
+  /// opens its session in `shard`.
+  void OpenShard(Shard& shard, int stream_index);
 
   data::Task task_;
   FleetConfig config_;
@@ -344,6 +279,9 @@ class StreamFleet {
   std::unique_ptr<eval::TaskEnvironment> env_;
   std::unique_ptr<eval::TrainedEventHit> trained_;
   std::unique_ptr<core::EventHitStrategy> strategy_;
+  // The stream-independent half of every session's wiring; OpenShard
+  // fills in the per-stream seeds and video.
+  SessionSpec session_spec_;
   nn::Workspace ws_;  // Main-thread scoring scratch.
 
   std::atomic<int64_t> budget_spend_microusd_{0};

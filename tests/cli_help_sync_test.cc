@@ -1,7 +1,8 @@
 // Keeps the eventhit_cli help text in lockstep with the implemented flags:
-// every flag the tool parses (a Get*("name") call in tools/eventhit_cli.cc)
-// must be mentioned as --name in the file (i.e. in PrintUsage or a doc
-// comment), and every --name the file mentions must be parsed. Adding a
+// every flag the tool parses (a Get*("name") call in tools/eventhit_cli.cc
+// or in the shared flag parsers it calls, kFlagParserSources) must be
+// mentioned as --name in the CLI file (i.e. in PrintUsage or a doc
+// comment), and every --name the CLI file mentions must be parsed. Adding a
 // flag without documenting it — or documenting a flag that was removed —
 // fails here. This is the regression test for the help-text drift fixed in
 // the backend PR (generate/--load/--out/--frames were implemented but
@@ -17,9 +18,8 @@
 
 namespace {
 
-std::string ReadCliSource() {
-  const std::string path =
-      std::string(EVENTHIT_SOURCE_DIR) + "/tools/eventhit_cli.cc";
+std::string ReadSource(const std::string& relative) {
+  const std::string path = std::string(EVENTHIT_SOURCE_DIR) + "/" + relative;
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
   std::ostringstream out;
@@ -27,12 +27,31 @@ std::string ReadCliSource() {
   return out.str();
 }
 
+std::string ReadCliSource() { return ReadSource("tools/eventhit_cli.cc"); }
+
+// Library files whose flag parsers eventhit_cli calls (the runner knobs
+// and the fleet knobs `fleet` and `explain` share).
+constexpr const char* kFlagParserSources[] = {"src/eval/runner.cc",
+                                              "src/fleet/stream_fleet.cc"};
+
 std::set<std::string> Collect(const std::string& text,
                               const std::regex& pattern, int group) {
   std::set<std::string> names;
   for (auto it = std::sregex_iterator(text.begin(), text.end(), pattern);
        it != std::sregex_iterator(); ++it) {
     names.insert((*it)[group].str());
+  }
+  return names;
+}
+
+// Every flag name passed to a Flags::Get* call in the CLI or its parsers.
+std::set<std::string> ImplementedFlags() {
+  const std::regex get(
+      R"(Get(?:String|Int|Double|Bool)\("([a-z][a-z0-9-]*)\")");
+  std::set<std::string> names = Collect(ReadCliSource(), get, 1);
+  for (const char* relative : kFlagParserSources) {
+    const std::set<std::string> more = Collect(ReadSource(relative), get, 1);
+    names.insert(more.begin(), more.end());
   }
   return names;
 }
@@ -47,10 +66,7 @@ const std::set<std::string>& MentionAllowlist() {
 
 TEST(CliHelpSyncTest, EveryImplementedFlagIsDocumented) {
   const std::string source = ReadCliSource();
-  const auto implemented = Collect(
-      source,
-      std::regex(R"(Get(?:String|Int|Double|Bool)\("([a-z][a-z0-9-]*)\")"),
-      1);
+  const auto implemented = ImplementedFlags();
   ASSERT_GT(implemented.size(), 20u) << "flag extraction broke";
   for (const std::string& flag : implemented) {
     EXPECT_NE(source.find("--" + flag), std::string::npos)
@@ -62,10 +78,7 @@ TEST(CliHelpSyncTest, EveryImplementedFlagIsDocumented) {
 
 TEST(CliHelpSyncTest, EveryDocumentedFlagIsImplemented) {
   const std::string source = ReadCliSource();
-  const auto implemented = Collect(
-      source,
-      std::regex(R"(Get(?:String|Int|Double|Bool)\("([a-z][a-z0-9-]*)\")"),
-      1);
+  const auto implemented = ImplementedFlags();
   const auto mentioned =
       Collect(source, std::regex(R"(--([a-z][a-z0-9-]*))"), 1);
   for (const std::string& flag : mentioned) {

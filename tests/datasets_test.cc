@@ -1,6 +1,7 @@
 #include "sim/datasets.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -57,19 +58,29 @@ TEST(DatasetsTest, GlobalEventResolution) {
 
 // Table I reproduction property: generated streams match the published
 // occurrence counts and duration statistics within sampling tolerance.
+// gtest names each case by dumping the row's bytes, so the row must have no
+// padding: uninitialised padding made the case names differ run to run. The
+// dataset is therefore held as a 64-bit integer rather than as DatasetId.
 struct TableOneRow {
-  DatasetId dataset;
+  uint64_t dataset;
   size_t local_index;
   double occurrences;
   double duration_mean;
   double duration_std;
 };
 
+TableOneRow Row(DatasetId dataset, size_t local_index, double occurrences,
+                double duration_mean, double duration_std) {
+  return {static_cast<uint64_t>(dataset), local_index, occurrences,
+          duration_mean, duration_std};
+}
+
 class TableOneTest : public ::testing::TestWithParam<TableOneRow> {};
 
 TEST_P(TableOneTest, GeneratedStatisticsMatchTableOne) {
   const TableOneRow row = GetParam();
-  const DatasetSpec spec = MakeDatasetSpec(row.dataset);
+  const DatasetSpec spec =
+      MakeDatasetSpec(static_cast<DatasetId>(row.dataset));
   const SyntheticVideo video = SyntheticVideo::Generate(spec, 20240101);
   const std::vector<EventStats> stats = ComputeEventStats(video);
   ASSERT_GT(stats.size(), row.local_index);
@@ -87,18 +98,18 @@ TEST_P(TableOneTest, GeneratedStatisticsMatchTableOne) {
 INSTANTIATE_TEST_SUITE_P(
     AllEvents, TableOneTest,
     ::testing::Values(
-        TableOneRow{DatasetId::kVirat, 0, 54, 61.5, 15.4},
-        TableOneRow{DatasetId::kVirat, 1, 57, 62.0, 11.9},
-        TableOneRow{DatasetId::kVirat, 2, 56, 86.6, 25.0},
-        TableOneRow{DatasetId::kVirat, 3, 93, 145.1, 35.1},
-        TableOneRow{DatasetId::kVirat, 4, 162, 193.7, 158.8},
-        TableOneRow{DatasetId::kVirat, 5, 165, 571.2, 176.4},
-        TableOneRow{DatasetId::kThumos, 0, 80, 99.3, 40.1},
-        TableOneRow{DatasetId::kThumos, 1, 74, 91.2, 35.4},
-        TableOneRow{DatasetId::kThumos, 2, 48, 92.8, 25.9},
-        TableOneRow{DatasetId::kBreakfast, 0, 132, 114.0, 48.8},
-        TableOneRow{DatasetId::kBreakfast, 1, 121, 97.2, 107.5},
-        TableOneRow{DatasetId::kBreakfast, 2, 95, 240.2, 153.8}));
+        Row(DatasetId::kVirat, 0, 54, 61.5, 15.4),
+        Row(DatasetId::kVirat, 1, 57, 62.0, 11.9),
+        Row(DatasetId::kVirat, 2, 56, 86.6, 25.0),
+        Row(DatasetId::kVirat, 3, 93, 145.1, 35.1),
+        Row(DatasetId::kVirat, 4, 162, 193.7, 158.8),
+        Row(DatasetId::kVirat, 5, 165, 571.2, 176.4),
+        Row(DatasetId::kThumos, 0, 80, 99.3, 40.1),
+        Row(DatasetId::kThumos, 1, 74, 91.2, 35.4),
+        Row(DatasetId::kThumos, 2, 48, 92.8, 25.9),
+        Row(DatasetId::kBreakfast, 0, 132, 114.0, 48.8),
+        Row(DatasetId::kBreakfast, 1, 121, 97.2, 107.5),
+        Row(DatasetId::kBreakfast, 2, 95, 240.2, 153.8)));
 
 TEST(DatasetsTest, ComputeEventStatsOnTinyTimeline) {
   DatasetSpec spec = MakeDatasetSpec(DatasetId::kThumos);

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "adapt/recovery_lab.h"
 #include "common/rng.h"
 #include "core/c_classify.h"
 #include "core/c_regress.h"
@@ -21,6 +20,7 @@
 #include "core/strategies.h"
 #include "data/record_extractor.h"
 #include "data/tasks.h"
+#include "fleet/recovery_lab.h"
 #include "sim/drift_scenario.h"
 #include "sim/synthetic_video.h"
 
@@ -99,6 +99,39 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, DriftRecoveryTest,
                            }
                            return name;
                          });
+
+// The exact recovery chain at seed 42, per scenario. The armed arm latches
+// its breach, swaps on that same boundary once and restores after a pinned
+// number of frames; the disarmed control breaches at the same frame and
+// never swaps or restores. Any change to the streaming wiring that moves a
+// decision moves one of these numbers.
+struct PinnedChain {
+  const char* scenario;
+  int64_t breach_time;
+  int64_t time_to_restore;
+};
+
+TEST(DriftRecoveryGoldenTest, ExactChainPerScenarioAtSeed42) {
+  for (const PinnedChain& want :
+       {PinnedChain{"precursor-shift", 67009, 8000},
+        PinnedChain{"duration-shift", 71009, 5800},
+        PinnedChain{"detector-degrade", 75009, 10200}}) {
+    RecoveryLabConfig config;
+    config.scenario = want.scenario;
+    const auto control = RunRecoveryControl(config);
+    ASSERT_TRUE(control.ok()) << control.status().message();
+    const RecoveryReport& on = control.value().with_recal;
+    const RecoveryReport& off = control.value().without_recal;
+    EXPECT_EQ(on.breach_time, want.breach_time) << want.scenario;
+    EXPECT_EQ(on.first_swap_time, want.breach_time) << want.scenario;
+    EXPECT_EQ(on.swap_count, 1) << want.scenario;
+    EXPECT_EQ(on.time_to_restore, want.time_to_restore) << want.scenario;
+    EXPECT_EQ(off.breach_time, want.breach_time) << want.scenario;
+    EXPECT_EQ(off.first_swap_time, -1) << want.scenario;
+    EXPECT_EQ(off.swap_count, 0) << want.scenario;
+    EXPECT_EQ(off.time_to_restore, -1) << want.scenario;
+  }
+}
 
 // One rig, replayed at different calibration thread counts and once more
 // at the original count: every observable — the decision digest, the

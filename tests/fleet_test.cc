@@ -7,15 +7,19 @@
 #include "fleet/stream_fleet.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/flags.h"
+#include "common/status.h"
 #include "data/tasks.h"
 #include "fleet/dynamic_batcher.h"
 #include "fleet/shard_arena.h"
 #include "obs/schema.h"
 #include "obs/trace.h"
+#include "sched/collect_policy.h"
 
 namespace eventhit::fleet {
 namespace {
@@ -30,7 +34,6 @@ FleetConfig TestConfig() {
   config.batch_size = 4;
   config.max_batch_delay_ticks = 3;
   config.wave_size = 4;  // Forces a partial second wave.
-  config.record_transcripts = true;
   config.runner.stream_frames_override = 30000;
   config.runner.train_records = 80;
   config.runner.calib_records = 120;
@@ -38,28 +41,6 @@ FleetConfig TestConfig() {
   config.runner.model_template.epochs = 4;
   config.runner.seed = 77;
   return config;
-}
-
-void ExpectSameTranscript(const StreamTranscript& a,
-                          const StreamTranscript& b, int stream) {
-  ASSERT_EQ(a.decisions.size(), b.decisions.size()) << "stream " << stream;
-  for (size_t i = 0; i < a.decisions.size(); ++i) {
-    EXPECT_EQ(a.decisions[i].anchor, b.decisions[i].anchor);
-    EXPECT_EQ(a.decisions[i].exists, b.decisions[i].exists);
-    ASSERT_EQ(a.decisions[i].intervals.size(), b.decisions[i].intervals.size());
-    for (size_t k = 0; k < a.decisions[i].intervals.size(); ++k) {
-      EXPECT_EQ(a.decisions[i].intervals[k], b.decisions[i].intervals[k])
-          << "stream " << stream << " decision " << i << " event " << k;
-    }
-  }
-  ASSERT_EQ(a.deliveries.size(), b.deliveries.size()) << "stream " << stream;
-  for (size_t i = 0; i < a.deliveries.size(); ++i) {
-    EXPECT_EQ(a.deliveries[i].request_id, b.deliveries[i].request_id);
-    EXPECT_EQ(a.deliveries[i].event, b.deliveries[i].event);
-    EXPECT_EQ(a.deliveries[i].frames, b.deliveries[i].frames);
-    EXPECT_EQ(a.deliveries[i].replayed, b.deliveries[i].replayed);
-    EXPECT_EQ(a.deliveries[i].detections, b.deliveries[i].detections);
-  }
 }
 
 TEST(StreamFleetTest, FleetRunIsBitIdenticalToSoloStreams) {
@@ -71,8 +52,6 @@ TEST(StreamFleetTest, FleetRunIsBitIdenticalToSoloStreams) {
     const FleetStreamResult solo = fleet.RunStreamSolo(s);
     EXPECT_TRUE(SameStreamResult(run.streams[static_cast<size_t>(s)], solo))
         << "stream " << s;
-    ExpectSameTranscript(run.streams[static_cast<size_t>(s)].transcript,
-                         solo.transcript, s);
   }
   // Distinct streams genuinely differ (seeds decorrelate the tenants).
   // Decision digests may coincide when the tiny model predicts "no event"
@@ -111,7 +90,6 @@ TEST(StreamFleetTest, RecalArmedFleetStaysBitIdenticalToSolo) {
     total_swaps += stream.recal_swaps;
     const FleetStreamResult solo = fleet.RunStreamSolo(s);
     EXPECT_TRUE(SameStreamResult(stream, solo)) << "stream " << s;
-    ExpectSameTranscript(stream.transcript, solo.transcript, s);
   }
   // The parity must be exercised through real swaps, not vacuously.
   EXPECT_GE(total_swaps, 1);
@@ -252,6 +230,95 @@ TEST(StreamFleetTest, BudgetAccountantLatchesBreachWithoutFeedback) {
         SameStreamResult(capped_run.streams[s], uncapped_run.streams[s]))
         << "stream " << s;
   }
+}
+
+// Bad knobs fail validation — the check StreamFleet's constructor and the
+// CLI run before any model is trained — with InvalidArgument, one case per
+// input that used to train first and then abort inside a stream.
+void ExpectInvalid(const FleetConfig& config, const std::string& needle) {
+  const Status status =
+      ValidateFleetConfig(data::FindTask("TA10").value(), config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(needle), std::string::npos)
+      << status.message();
+}
+
+TEST(FleetConfigTest, UnknownFaultProfileIsRejected) {
+  FleetConfig config = TestConfig();
+  config.fault_profile = "flakey";
+  ExpectInvalid(config, "unknown fault profile");
+  config.fault_profile = "flaky";
+  EXPECT_TRUE(ValidateFleetConfig(data::FindTask("TA10").value(), config)
+                  .ok());
+}
+
+TEST(FleetConfigTest, StreamsWithoutAPredictionBoundaryAreRejected) {
+  // TA10 streams THUMOS: H + M = 200 + 10 frames.
+  FleetConfig config = TestConfig();
+  config.frames_per_stream = 150;
+  ExpectInvalid(config, "--frames=150");
+  config.frames_per_stream = 210;
+  ExpectInvalid(config, "H + M = 210");
+  config.frames_per_stream = 211;
+  EXPECT_TRUE(ValidateFleetConfig(data::FindTask("TA10").value(), config)
+                  .ok());
+}
+
+TEST(FleetConfigTest, PolicyDelayReachingAHorizonIsRejected) {
+  FleetConfig config = TestConfig();
+  config.runner.collect_policy =
+      sched::ParseCollectPolicy("duty:0.25").value();
+  config.max_batch_delay_ticks = 300;
+  ExpectInvalid(config, "--max-delay < H = 200");
+  config.max_batch_delay_ticks = 199;
+  EXPECT_TRUE(ValidateFleetConfig(data::FindTask("TA10").value(), config)
+                  .ok());
+  // The full policy never waits on completed scores: any delay is fine.
+  config.runner.collect_policy = sched::CollectPolicySpec{};
+  config.max_batch_delay_ticks = 300;
+  EXPECT_TRUE(ValidateFleetConfig(data::FindTask("TA10").value(), config)
+                  .ok());
+}
+
+TEST(FleetConfigTest, ParseFleetFlagsReadsEveryKnob) {
+  const char* argv[] = {"--streams=3",
+                        "--seed=9",
+                        "--frames=900",
+                        "--batch=8",
+                        "--max-delay=2",
+                        "--wave=2",
+                        "--threads=2",
+                        "--fault-profile=blackout",
+                        "--fault-seed=5",
+                        "--degraded-mode=buffer",
+                        "--recal=on",
+                        "--provenance=off",
+                        "--budget-cap-usd=1.5",
+                        "--collect-policy=adaptive"};
+  const auto flags = Flags::Parse(14, argv);
+  ASSERT_TRUE(flags.ok());
+  const auto parsed = ParseFleetFlags(flags.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const FleetConfig& config = parsed.value();
+  EXPECT_EQ(config.num_streams, 3);
+  EXPECT_EQ(config.base_seed, 9u);
+  EXPECT_EQ(config.runner.seed, 9u);
+  EXPECT_EQ(config.frames_per_stream, 900);
+  EXPECT_EQ(config.batch_size, 8u);
+  EXPECT_EQ(config.max_batch_delay_ticks, 2);
+  EXPECT_EQ(config.wave_size, 2);
+  EXPECT_EQ(config.threads, 2);
+  EXPECT_EQ(config.fault_profile, "blackout");
+  EXPECT_EQ(config.fault_seed, 5u);
+  EXPECT_EQ(config.degraded_mode, cloud::DegradedMode::kBufferAndReplay);
+  EXPECT_TRUE(config.recal);
+  EXPECT_FALSE(config.provenance);
+  EXPECT_EQ(config.budget_cap_microusd, 1500000);
+  EXPECT_EQ(config.runner.collect_policy.kind,
+            sched::CollectPolicyKind::kAdaptive);
+
+  const char* bad[] = {"--degraded-mode=retry"};
+  EXPECT_FALSE(ParseFleetFlags(Flags::Parse(1, bad).value()).ok());
 }
 
 TEST(DynamicBatcherTest, FullBatchesFlushImmediately) {

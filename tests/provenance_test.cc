@@ -231,7 +231,6 @@ fleet::FleetConfig SmallFleetConfig() {
   config.batch_size = 4;
   config.max_batch_delay_ticks = 3;
   config.wave_size = 4;
-  config.collect_tick_latency = false;
   config.runner.stream_frames_override = 30000;
   config.runner.train_records = 80;
   config.runner.calib_records = 120;
@@ -330,7 +329,6 @@ TEST(ProvenanceFleetTest, AuditFoldIntoRegistryIsDeterministicWithExemplars) {
   config.batch_size = 4;
   config.max_batch_delay_ticks = 3;
   config.wave_size = 4;
-  config.collect_tick_latency = false;
 
   // Two runs at different thread counts must export identical audit
   // totals AND identical exemplars (the fold is serial in stream order).

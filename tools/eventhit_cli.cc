@@ -37,7 +37,6 @@
 #include <iostream>
 #include <memory>
 
-#include "adapt/recovery_lab.h"
 #include "baselines/oracle.h"
 #include "cloud/cloud_service.h"
 #include "cloud/cost_model.h"
@@ -51,6 +50,7 @@
 #include "core/strategies.h"
 #include "data/tasks.h"
 #include "eval/curves.h"
+#include "fleet/recovery_lab.h"
 #include "fleet/stream_fleet.h"
 #include "eval/hyper_search.h"
 #include "eval/runner.h"
@@ -328,10 +328,9 @@ eventhit::Result<TrainedTask> BuildAndTrain(const Flags& flags) {
   }
   auto task = data::FindTask(task_name);
   if (!task.ok()) return task.status();
-  eval::RunnerConfig config;
-  const auto seed = flags.GetInt("seed", 42);
-  if (!seed.ok()) return seed.status();
-  config.seed = static_cast<uint64_t>(seed.value());
+  auto runner = eval::ParseRunnerFlags(flags);
+  if (!runner.ok()) return runner.status();
+  eval::RunnerConfig config = runner.value();
   const auto predict_batch =
       flags.GetInt("predict-batch",
                    static_cast<int64_t>(core::kDefaultPredictBatch));
@@ -340,14 +339,6 @@ eventhit::Result<TrainedTask> BuildAndTrain(const Flags& flags) {
     return eventhit::InvalidArgumentError("--predict-batch must be >= 1");
   }
   config.predict_batch = static_cast<size_t>(predict_batch.value());
-  const auto backend =
-      nn::ParseBackendKind(flags.GetString("nn-backend", "blocked"));
-  if (!backend.ok()) return backend.status();
-  config.nn_backend = backend.value();
-  const auto policy =
-      sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
-  if (!policy.ok()) return policy.status();
-  config.collect_policy = policy.value();
   auto exec = ParseThreads(flags, config.seed);
   if (!exec.ok()) return exec.status();
   std::cerr << "building environment + training on " << task_name << " ("
@@ -386,14 +377,8 @@ int RunFaultReplay(const Flags& flags, const eval::TaskEnvironment& env,
   }
   const sim::FaultInjector injector(profile.value());
 
-  core::EventHitStrategyOptions options;
-  options.use_cclassify = true;
-  options.use_cregress = true;
-  options.confidence = confidence;
-  options.coverage = coverage;
-  const core::EventHitStrategy strategy(
-      trained.model.get(), trained.cclassify.get(), trained.cregress.get(),
-      options);
+  const core::EventHitStrategy strategy =
+      eval::MakeEhcr(trained, confidence, coverage);
   const size_t num_events = env.task().event_indices.size();
   core::Marshaller marshaller(&strategy, env.collection_window(),
                               env.horizon(), env.video().feature_dim(),
@@ -468,7 +453,7 @@ int RunFaultReplay(const Flags& flags, const eval::TaskEnvironment& env,
 }
 
 // `evaluate --drift-profile=NAME`: the seeded drift-recovery lab
-// (adapt/recovery_lab.h). Builds its own single-event drifting rig —
+// (fleet/recovery_lab.h). Builds its own single-event drifting rig —
 // --task is ignored — then streams the regime shift through a live
 // marshaller + auditor with the recalibration loop armed or disarmed and
 // prints the breach → swap → restore chain. Fully reproducible from
@@ -612,14 +597,8 @@ int RunEvaluate(const Flags& flags) {
   // record clock: audit.* metrics, breach spans, and (with
   // --metrics-jsonl) a labeled time series of per-record metric deltas.
   {
-    core::EventHitStrategyOptions options;
-    options.use_cclassify = true;
-    options.use_cregress = true;
-    options.confidence = confidence.value();
-    options.coverage = coverage.value();
-    const core::EventHitStrategy ehcr(
-        trained.model.get(), trained.cclassify.get(), trained.cregress.get(),
-        options);
+    const core::EventHitStrategy ehcr =
+        eval::MakeEhcr(trained, confidence.value(), coverage.value());
     const std::vector<core::MarshalDecision> decisions =
         eval::DecisionsFromScores(ehcr, trained.test_scores, exec);
     const std::vector<obs::AuditOutcome> outcomes =
@@ -714,14 +693,8 @@ int RunEvaluate(const Flags& flags) {
       return 1;
     }
     if (policy.value().kind != sched::CollectPolicyKind::kFull) {
-      core::EventHitStrategyOptions options;
-      options.use_cclassify = true;
-      options.use_cregress = true;
-      options.confidence = confidence.value();
-      options.coverage = coverage.value();
-      const core::EventHitStrategy ehcr(
-          trained.model.get(), trained.cclassify.get(),
-          trained.cregress.get(), options);
+      const core::EventHitStrategy ehcr =
+          eval::MakeEhcr(trained, confidence.value(), coverage.value());
       const std::vector<data::Record> sweep = data::StridedRecords(
           env.video(), env.task(), env.extractor(), env.splits().test,
           env.horizon());
@@ -912,90 +885,28 @@ int RunFleet(const Flags& flags) {
     std::cerr << task.status() << "\n";
     return 1;
   }
-  fleet::FleetConfig config;
-  const auto streams = flags.GetInt("streams", 100);
-  const auto seed = flags.GetInt("seed", 42);
-  const auto frames = flags.GetInt("frames", 0);
-  const auto batch = flags.GetInt("batch", 64);
-  const auto max_delay = flags.GetInt("max-delay", 4);
-  const auto wave = flags.GetInt("wave", 256);
-  const auto threads = flags.GetInt("threads", 1);
-  const auto confidence = flags.GetDouble("confidence", 0.9);
-  const auto coverage = flags.GetDouble("coverage", 0.5);
-  const auto fault_seed = flags.GetInt("fault-seed", 1234);
-  const auto budget_cap = flags.GetDouble("budget-cap-usd", 0.0);
+  // Every knob is checked here, before the model is trained.
+  const auto parsed = fleet::ParseFleetFlags(flags);
   const auto verify_solo = flags.GetInt("verify-solo", 0);
-  for (const auto* status :
-       {&streams.status(), &seed.status(), &frames.status(), &batch.status(),
-        &max_delay.status(), &wave.status(), &threads.status(),
-        &confidence.status(), &coverage.status(), &fault_seed.status(),
-        &budget_cap.status(), &verify_solo.status()}) {
-    if (!status->ok()) {
-      std::cerr << *status << "\n";
-      return 1;
-    }
+  eventhit::Status status =
+      parsed.ok() ? fleet::ValidateFleetConfig(task.value(), parsed.value())
+                  : parsed.status();
+  if (status.ok()) status = verify_solo.status();
+  if (status.ok() && verify_solo.value() < 0) {
+    status = eventhit::InvalidArgumentError("--verify-solo must be >= 0");
   }
-  if (streams.value() < 1 || batch.value() < 1 || max_delay.value() < 0 ||
-      wave.value() < 1 || threads.value() < 0 || frames.value() < 0 ||
-      verify_solo.value() < 0) {
-    std::cerr << "fleet: --streams/--batch/--wave must be >= 1, "
-                 "--max-delay/--threads/--frames/--verify-solo >= 0\n";
+  if (!status.ok()) {
+    std::cerr << status << "\n";
     return 1;
   }
-  const std::string mode_name = flags.GetString("degraded-mode", "drop");
-  if (mode_name != "drop" && mode_name != "buffer") {
-    std::cerr << "--degraded-mode must be drop or buffer\n";
-    return 1;
-  }
-  const std::string recal_name = flags.GetString("recal", "off");
-  if (recal_name != "on" && recal_name != "off") {
-    std::cerr << "--recal must be on or off\n";
-    return 1;
-  }
-  const std::string provenance_name = flags.GetString("provenance", "on");
-  if (provenance_name != "on" && provenance_name != "off") {
-    std::cerr << "--provenance must be on or off\n";
-    return 1;
-  }
+  const fleet::FleetConfig& config = parsed.value();
   const bool health_report =
       flags.GetBool("health-report", false).value_or(false);
   const std::string health_out = flags.GetString("health-out", "");
-  const auto backend =
-      nn::ParseBackendKind(flags.GetString("nn-backend", "blocked"));
-  if (!backend.ok()) {
-    std::cerr << backend.status() << "\n";
-    return 1;
-  }
-  const auto policy =
-      sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
-  if (!policy.ok()) {
-    std::cerr << policy.status() << "\n";
-    return 1;
-  }
-  config.num_streams = static_cast<int>(streams.value());
-  config.base_seed = static_cast<uint64_t>(seed.value());
-  config.frames_per_stream = frames.value();
-  config.batch_size = static_cast<size_t>(batch.value());
-  config.max_batch_delay_ticks = max_delay.value();
-  config.wave_size = static_cast<int>(wave.value());
-  config.threads = static_cast<int>(threads.value());
-  config.confidence = confidence.value();
-  config.coverage = coverage.value();
-  config.fault_profile = flags.GetString("fault-profile", "none");
-  config.fault_seed = static_cast<uint64_t>(fault_seed.value());
-  config.degraded_mode = mode_name == "buffer"
-                             ? cloud::DegradedMode::kBufferAndReplay
-                             : cloud::DegradedMode::kDropWithAccounting;
-  config.budget_cap_microusd =
-      static_cast<int64_t>(budget_cap.value() * 1e6);
-  config.recal = recal_name == "on";
-  config.provenance = provenance_name == "on";
-  config.runner.seed = config.base_seed;
-  config.runner.nn_backend = backend.value();
-  config.runner.collect_policy = policy.value();
 
   std::cerr << "training the shared fleet model on " << task_name << " ("
-            << nn::GetBackend(backend.value()).name << " backend)...\n";
+            << nn::GetBackend(config.runner.nn_backend).name
+            << " backend)...\n";
   fleet::StreamFleet fleet_run(task.value(), config);
   std::cerr << "running " << config.num_streams << " stream(s), batch "
             << config.batch_size << ", max delay "
@@ -1118,48 +1029,21 @@ int RunExplain(const Flags& flags) {
     std::cerr << task.status() << "\n";
     return 1;
   }
+  auto parsed = fleet::ParseFleetFlags(flags);
   const auto decision = flags.GetInt("decision", -1);
   const auto frame = flags.GetInt("frame", -1);
   const auto stream_flag = flags.GetInt("stream", 0);
-  const auto seed = flags.GetInt("seed", 42);
-  const auto frames = flags.GetInt("frames", 0);
-  const auto confidence = flags.GetDouble("confidence", 0.9);
-  const auto coverage = flags.GetDouble("coverage", 0.5);
-  const auto fault_seed = flags.GetInt("fault-seed", 1234);
-  for (const auto* status :
-       {&decision.status(), &frame.status(), &stream_flag.status(),
-        &seed.status(), &frames.status(), &confidence.status(),
-        &coverage.status(), &fault_seed.status()}) {
-    if (!status->ok()) {
-      std::cerr << *status << "\n";
+  for (const eventhit::Status& status :
+       {parsed.status(), decision.status(), frame.status(),
+        stream_flag.status()}) {
+    if (!status.ok()) {
+      std::cerr << status << "\n";
       return 1;
     }
   }
   if (decision.value() < 0 && frame.value() < 0) {
     std::cerr << "explain: pass --decision=ID (from a metric exemplar or "
                  "breach log) or --frame=F\n";
-    return 1;
-  }
-  const std::string mode_name = flags.GetString("degraded-mode", "drop");
-  if (mode_name != "drop" && mode_name != "buffer") {
-    std::cerr << "--degraded-mode must be drop or buffer\n";
-    return 1;
-  }
-  const std::string recal_name = flags.GetString("recal", "off");
-  if (recal_name != "on" && recal_name != "off") {
-    std::cerr << "--recal must be on or off\n";
-    return 1;
-  }
-  const auto backend =
-      nn::ParseBackendKind(flags.GetString("nn-backend", "blocked"));
-  if (!backend.ok()) {
-    std::cerr << backend.status() << "\n";
-    return 1;
-  }
-  const auto policy =
-      sched::ParseCollectPolicy(flags.GetString("collect-policy", "full"));
-  if (!policy.ok()) {
-    std::cerr << policy.status() << "\n";
     return 1;
   }
 
@@ -1173,22 +1057,8 @@ int RunExplain(const Flags& flags) {
     return 1;
   }
 
-  fleet::FleetConfig config;
+  fleet::FleetConfig& config = parsed.value();
   config.num_streams = static_cast<int>(stream_index) + 1;
-  config.base_seed = static_cast<uint64_t>(seed.value());
-  config.frames_per_stream = frames.value();
-  config.confidence = confidence.value();
-  config.coverage = coverage.value();
-  config.fault_profile = flags.GetString("fault-profile", "none");
-  config.fault_seed = static_cast<uint64_t>(fault_seed.value());
-  config.degraded_mode = mode_name == "buffer"
-                             ? cloud::DegradedMode::kBufferAndReplay
-                             : cloud::DegradedMode::kDropWithAccounting;
-  config.recal = recal_name == "on";
-  config.collect_tick_latency = false;
-  config.runner.seed = config.base_seed;
-  config.runner.nn_backend = backend.value();
-  config.runner.collect_policy = policy.value();
   // A solo replay must retain every boundary: one ring slot per possible
   // anchor of the stream (boundaries are spaced >= 1 frame apart).
   sim::DatasetSpec spec = sim::MakeDatasetSpec(task.value().dataset);
@@ -1198,6 +1068,11 @@ int RunExplain(const Flags& flags) {
   config.provenance = true;
   config.provenance_ring = static_cast<size_t>(spec_frames) + 2;
   config.collect_provenance_records = true;
+  if (const auto status = fleet::ValidateFleetConfig(task.value(), config);
+      !status.ok()) {
+    std::cerr << status << "\n";
+    return 1;
+  }
 
   std::cerr << "replaying stream " << stream_index << " of " << task_name
             << " at seed " << config.base_seed << "...\n";
