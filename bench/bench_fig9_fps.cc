@@ -253,10 +253,9 @@ int main() {
     // same test slice scored through each kernel backend. `batched` above
     // holds the blocked (default) scores, so each backend's score drift vs
     // blocked is measured here too and emitted into the baseline — the
-    // documented contracts (scalar bit-exact, simd within 1e-5, int8 within
-    // its quantization bound) become machine-checkable in CI. simd must
-    // beat blocked by >= 2x when AVX2+FMA is available (the point of the
-    // backend); int8 trades the score drift for bandwidth.
+    // documented contracts (scalar bit-exact, simd within 1e-5) become
+    // machine-checkable in CI. simd must beat blocked by >= 2x when
+    // AVX2+FMA is available (the point of the backend).
     auto& backend_model = *trained.model;
     const bool simd_available = nn::SimdAvailable();
     auto score_diff_vs_blocked =
@@ -277,10 +276,6 @@ int main() {
           return diff;
         };
     auto time_backend = [&](nn::BackendKind kind, double* diff) {
-      if (kind == nn::BackendKind::kInt8 &&
-          !backend_model.int8_calibrated()) {
-        backend_model.CalibrateInt8(env.calib_records());
-      }
       backend_model.SetInferenceBackend(kind);
       std::vector<eventhit::core::EventScores> scores;
       const double seconds = best_seconds(
@@ -288,11 +283,10 @@ int main() {
       *diff = score_diff_vs_blocked(scores);
       return n / seconds;
     };
-    double scalar_diff = 0.0, simd_diff = 0.0, int8_diff = 0.0;
+    double scalar_diff = 0.0, simd_diff = 0.0;
     const double scalar_fps =
         time_backend(nn::BackendKind::kScalar, &scalar_diff);
     const double simd_fps = time_backend(nn::BackendKind::kSimd, &simd_diff);
-    const double int8_fps = time_backend(nn::BackendKind::kInt8, &int8_diff);
     backend_model.SetInferenceBackend(nn::BackendKind::kBlocked);
 
     std::cout << "\n### Batched inference per kernel backend (simd "
@@ -309,9 +303,6 @@ int main() {
     backend_table.AddRow({"simd", Fmt(simd_fps, 0),
                           Fmt(simd_fps / batched_fps, 2) + "x",
                           Fmt(simd_diff, 8)});
-    backend_table.AddRow({"int8", Fmt(int8_fps, 0),
-                          Fmt(int8_fps / batched_fps, 2) + "x",
-                          Fmt(int8_diff, 8)});
     backend_table.Print(std::cout);
 
     // Machine-readable baseline for CI and for tracking in-repo.
@@ -330,12 +321,10 @@ int main() {
          << "  \"simd_available\": " << (simd_available ? 1 : 0) << ",\n"
          << "  \"batched_fps_scalar\": " << scalar_fps << ",\n"
          << "  \"batched_fps_simd\": " << simd_fps << ",\n"
-         << "  \"batched_fps_int8\": " << int8_fps << ",\n"
          << "  \"simd_speedup_vs_blocked\": " << simd_fps / batched_fps
          << ",\n"
          << "  \"scalar_scores_max_abs_diff\": " << scalar_diff << ",\n"
          << "  \"simd_scores_max_abs_diff\": " << simd_diff << ",\n"
-         << "  \"int8_scores_max_abs_diff\": " << int8_diff << ",\n"
          << "  \"fast_mode\": " << (bench::FastMode() ? "true" : "false")
          << "\n}\n";
     std::cout << "wrote BENCH_fig9_fps.json\n";

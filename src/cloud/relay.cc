@@ -9,6 +9,13 @@
 
 namespace eventhit::cloud {
 
+Result<DegradedMode> ParseDegradedMode(const std::string& name) {
+  if (name == "drop") return DegradedMode::kDropWithAccounting;
+  if (name == "buffer") return DegradedMode::kBufferAndReplay;
+  return InvalidArgumentError("--degraded-mode must be drop or buffer, not '" +
+                              name + "'");
+}
+
 namespace {
 
 int64_t Micros(double seconds) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "cloud/circuit_breaker.h"
@@ -42,6 +43,10 @@ enum class DegradedMode {
   /// horizon). Queue overflow and expiry fall back to dropping.
   kBufferAndReplay,
 };
+
+/// Parses the `--degraded-mode` value: "drop" or "buffer". Anything else
+/// is an InvalidArgumentError naming the choices.
+Result<DegradedMode> ParseDegradedMode(const std::string& name);
 
 struct RelayConfig {
   RetryPolicyConfig retry;

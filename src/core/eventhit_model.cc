@@ -108,7 +108,7 @@ EventScores EventHitModel::Predict(const data::Record& record) const {
     // contract, nn/matrix.h).
     return PredictCovariates(record.covariates.data());
   }
-  // simd/int8: run the batched path at batch 1, so per-record and batched
+  // simd: run the batched path at batch 1, so per-record and batched
   // scores agree bit-for-bit under every backend (batch invariance,
   // docs/BACKENDS.md). The arena is thread-local: Predict is const and
   // called concurrently from calibration workers.
@@ -119,50 +119,7 @@ EventScores EventHitModel::Predict(const data::Record& record) const {
 }
 
 void EventHitModel::SetInferenceBackend(nn::BackendKind kind) {
-  if (kind == nn::BackendKind::kInt8) {
-    EVENTHIT_CHECK(int8_ready_);  // CalibrateInt8 must run first.
-  }
   backend_kind_ = kind;
-}
-
-void EventHitModel::CalibrateInt8(const std::vector<data::Record>& calibration,
-                                  size_t max_records) {
-  EVENTHIT_CHECK(!calibration.empty());
-  EVENTHIT_CHECK_GT(max_records, 0u);
-  // The only unbounded activations are the model inputs (the covariates,
-  // which also feed u = z ++ x_last directly): their static scale is the
-  // max-abs over the calibration sample, with out-of-range test values
-  // saturating at ±127. Hidden states and tanh outputs are bounded in
-  // (-1, 1), so they quantize with the analytic scale 1/127.
-  const size_t n = std::min(max_records, calibration.size());
-  float x_max = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    for (const float v : calibration[i].covariates) {
-      x_max = std::max(x_max, std::fabs(v));
-    }
-  }
-  if (x_max == 0.0f) x_max = 1.0f;
-  const float x_scale = x_max / 127.0f;
-  const float unit_scale = 1.0f / 127.0f;
-  // u concatenates z (|z| < 1) with x_last, so its bound is the larger.
-  const float u_scale = std::max(1.0f, x_max) / 127.0f;
-
-  int8_.lstm = nn::Int8Lstm::FromFloat(lstm_, x_scale, unit_scale);
-  int8_.shared_fc = nn::Int8Dense::FromFloat(shared_fc_, unit_scale);
-  int8_.event_nets.clear();
-  int8_.event_nets.reserve(event_nets_.size());
-  for (const nn::Mlp& net : event_nets_) {
-    int8_.event_nets.push_back(nn::Int8Mlp::FromFloat(net, u_scale));
-  }
-  int8_ready_ = true;
-}
-
-void EventHitModel::InvalidateInt8() {
-  int8_ = Int8State();
-  int8_ready_ = false;
-  if (backend_kind_ == nn::BackendKind::kInt8) {
-    backend_kind_ = nn::BackendKind::kBlocked;
-  }
 }
 
 void EventHitModel::PredictBatched(const data::Record* records, size_t count,
@@ -177,10 +134,8 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
   ws.Reset();
   // Kernel dispatch (nn/backend.h): the blocked table points at the exact
   // functions the pre-backend code called, so the default stays
-  // bit-identical; int8 swaps each layer for its quantized mirror.
+  // bit-identical.
   const nn::Backend& backend = nn::GetBackend(backend_kind_);
-  const bool int8 = backend_kind_ == nn::BackendKind::kInt8;
-  if (int8) EVENTHIT_CHECK(int8_ready_);
 
   // Gather covariates batch-minor: element (t, feature j, record b) at
   // x[(t*d + j)*count + b], so every downstream op streams unit-stride
@@ -193,19 +148,11 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
 
   const size_t hd = lstm_.hidden_dim();
   float* h = ws.Alloc(hd * count);
-  if (int8) {
-    int8_.lstm.ForwardBatch(x, steps, count, h, ws, backend);
-  } else {
-    lstm_.ForwardBatch(x, steps, count, h, ws, backend);
-  }
+  lstm_.ForwardBatch(x, steps, count, h, ws, backend);
 
   const size_t z_rows = shared_fc_.out_dim();
   float* z = ws.Alloc(z_rows * count);
-  if (int8) {
-    int8_.shared_fc.ForwardBatch(h, count, z, ws, backend);
-  } else {
-    shared_fc_.ForwardBatch(h, count, z, backend);
-  }
+  shared_fc_.ForwardBatch(h, count, z, backend);
   backend.kernels->tanh_inplace(z, z_rows * count);
 
   // u = z ++ x_last per record (Fig. 3), still batch-minor.
@@ -228,11 +175,7 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
     out[b].occupancy.resize(config_.num_events);
   }
   for (size_t k = 0; k < config_.num_events; ++k) {
-    if (int8) {
-      int8_.event_nets[k].ForwardBatch(u, count, logits, ws, backend);
-    } else {
-      event_nets_[k].ForwardBatch(u, count, logits, ws, backend);
-    }
+    event_nets_[k].ForwardBatch(u, count, logits, ws, backend);
     // One vectorized sigmoid pass over the whole [out_dim x count] block
     // (same per-element function as the scalar path), then a plain scatter.
     backend.kernels->sigmoid_inplace(logits, out_dim * count);
@@ -336,7 +279,6 @@ std::pair<double, double> EventHitModel::TrainStep(const data::Record& record,
 std::vector<TrainEpochStats> EventHitModel::Train(
     const std::vector<data::Record>& records) {
   EVENTHIT_CHECK(!records.empty());
-  InvalidateInt8();  // The quantized mirror tracks the float weights.
   nn::AdamOptions adam_options;
   adam_options.learning_rate = config_.learning_rate;
   adam_options.clip_norm = config_.grad_clip_norm;
@@ -378,7 +320,6 @@ Status EventHitModel::Save(const std::string& path) const {
 }
 
 Status EventHitModel::Load(const std::string& path) {
-  InvalidateInt8();  // The quantized mirror tracks the float weights.
   return nn::LoadParameters(Parameters(), path);
 }
 

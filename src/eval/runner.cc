@@ -115,11 +115,8 @@ TrainedEventHit TrainEventHit(const TaskEnvironment& env,
   // Select the inference backend BEFORE calibration: the conformal
   // constructors below score the calibration split through the model, so
   // thresholds are automatically recalibrated on backend-specific scores
-  // (mandatory for int8, whose quantization perturbs them —
+  // (simd's fused multiply-adds move them within 1e-5 of blocked —
   // docs/BACKENDS.md).
-  if (config.nn_backend == nn::BackendKind::kInt8) {
-    trained.model->CalibrateInt8(env.calib_records());
-  }
   trained.model->SetInferenceBackend(config.nn_backend);
   {
     obs::TraceSpan span(obs::names::kSpanRunnerCalibrate);

@@ -80,21 +80,18 @@ Result<FleetConfig> ParseFleetFlags(const Flags& flags) {
   config.batch_size = static_cast<size_t>(batch);
   config.budget_cap_microusd = static_cast<int64_t>(budget_cap_usd * 1e6);
   config.fault_profile = flags.GetString("fault-profile", "none");
-  const std::string mode = flags.GetString("degraded-mode", "drop");
+  const auto mode =
+      cloud::ParseDegradedMode(flags.GetString("degraded-mode", "drop"));
+  if (!mode.ok()) return mode.status();
   const std::string recal = flags.GetString("recal", "off");
   const std::string provenance = flags.GetString("provenance", "on");
-  if (mode != "drop" && mode != "buffer") {
-    return InvalidArgumentError("--degraded-mode must be drop or buffer");
-  }
   if (recal != "on" && recal != "off") {
     return InvalidArgumentError("--recal must be on or off");
   }
   if (provenance != "on" && provenance != "off") {
     return InvalidArgumentError("--provenance must be on or off");
   }
-  config.degraded_mode = mode == "buffer"
-                             ? cloud::DegradedMode::kBufferAndReplay
-                             : cloud::DegradedMode::kDropWithAccounting;
+  config.degraded_mode = mode.value();
   config.recal = recal == "on";
   config.provenance = provenance == "on";
   return config;

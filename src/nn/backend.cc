@@ -1,9 +1,5 @@
 #include "nn/backend.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-
 #include "nn/activations.h"
 #include "nn/gemm.h"
 
@@ -20,9 +16,6 @@ void GemmAvx2(size_t m, size_t n, size_t k, const float* a, size_t lda,
               const float* b, size_t ldb, float* c, size_t ldc);
 void TanhInPlaceAvx2(float* x, size_t n);
 void SigmoidInPlaceAvx2(float* x, size_t n);
-void Int8GemmZeroAvx2(size_t m, size_t n, size_t k, const int8_t* a,
-                      size_t lda, const int8_t* b, size_t ldb, float scale,
-                      float* c, size_t ldc);
 }  // namespace detail
 #endif  // EVENTHIT_NN_HAVE_AVX2
 
@@ -65,67 +58,19 @@ void ScalarGemm(size_t m, size_t n, size_t k, const float* a, size_t lda,
   }
 }
 
-// --- generic int8 GEMM -----------------------------------------------------
-//
-// int32 accumulation is exact (|a*b| <= 127*127, k is at most a few
-// hundred, so sums stay far from overflow) and integer addition is
-// associative — any vectorization of this loop nest, and the AVX2 variant
-// in backend_simd.cc, produce identical bits. The column-block accumulator
-// keeps the inner loops unit-stride so the baseline build auto-vectorizes.
-constexpr size_t kInt8ColBlock = 256;
-
-void GenericInt8GemmZero(size_t m, size_t n, size_t k, const int8_t* a,
-                         size_t lda, const int8_t* b, size_t ldb, float scale,
-                         float* c, size_t ldc) {
-  int32_t acc[kInt8ColBlock];
-  for (size_t j0 = 0; j0 < n; j0 += kInt8ColBlock) {
-    const size_t nb = std::min(kInt8ColBlock, n - j0);
-    for (size_t i = 0; i < m; ++i) {
-      std::memset(acc, 0, nb * sizeof(int32_t));
-      const int8_t* arow = a + i * lda;
-      for (size_t kk = 0; kk < k; ++kk) {
-        const int32_t aik = arow[kk];
-        const int8_t* brow = b + kk * ldb + j0;
-        for (size_t j = 0; j < nb; ++j) {
-          acc[j] += aik * static_cast<int32_t>(brow[j]);
-        }
-      }
-      float* crow = c + i * ldc + j0;
-      for (size_t j = 0; j < nb; ++j) {
-        crow[j] = scale * static_cast<float>(acc[j]);
-      }
-    }
-  }
-}
-
 // --- dispatch tables -------------------------------------------------------
 
-constexpr BackendKernels kScalarKernels = {
-    ScalarGemmZero, ScalarGemm, TanhInPlace, SigmoidInPlace,
-    GenericInt8GemmZero};
+constexpr BackendKernels kScalarKernels = {ScalarGemmZero, ScalarGemm,
+                                           TanhInPlace, SigmoidInPlace};
 
-constexpr BackendKernels kBlockedKernels = {
-    GemmZero, Gemm, TanhInPlace, SigmoidInPlace, GenericInt8GemmZero};
+constexpr BackendKernels kBlockedKernels = {GemmZero, Gemm, TanhInPlace,
+                                            SigmoidInPlace};
 
 #if EVENTHIT_NN_HAVE_AVX2
 constexpr BackendKernels kSimdKernels = {
     detail::GemmZeroAvx2, detail::GemmAvx2, detail::TanhInPlaceAvx2,
-    detail::SigmoidInPlaceAvx2, detail::Int8GemmZeroAvx2};
+    detail::SigmoidInPlaceAvx2};
 #endif
-
-// The int8 backend keeps the *blocked* float kernels for activations and
-// bias work even when AVX2 is present: the float side then computes the
-// same bits on every machine, and the int8 GEMM is integer-exact, so int8
-// scores — and the conformal thresholds recalibrated on them — are
-// machine-independent. Only the int8 product itself upgrades to AVX2
-// (identical bits, just faster).
-BackendKernels MakeInt8Kernels() {
-  BackendKernels kernels = kBlockedKernels;
-#if EVENTHIT_NN_HAVE_AVX2
-  if (SimdAvailable()) kernels.int8_gemm_zero = detail::Int8GemmZeroAvx2;
-#endif
-  return kernels;
-}
 
 }  // namespace
 
@@ -163,9 +108,6 @@ const Backend& GetBackend(BackendKind kind) {
     b.kernels = &kBlockedKernels;
     return b;
   }();
-  static const BackendKernels int8_kernels = MakeInt8Kernels();
-  static const Backend int8{BackendKind::kInt8, BackendKind::kInt8, "int8",
-                            &int8_kernels};
   switch (kind) {
     case BackendKind::kScalar:
       return scalar;
@@ -173,8 +115,6 @@ const Backend& GetBackend(BackendKind kind) {
       return blocked;
     case BackendKind::kSimd:
       return simd;
-    case BackendKind::kInt8:
-      return int8;
   }
   return blocked;  // unreachable; keeps -Wreturn-type quiet
 }
@@ -187,8 +127,6 @@ const char* BackendKindName(BackendKind kind) {
       return "blocked";
     case BackendKind::kSimd:
       return "simd";
-    case BackendKind::kInt8:
-      return "int8";
   }
   return "unknown";
 }
@@ -197,28 +135,16 @@ Result<BackendKind> ParseBackendKind(const std::string& name) {
   if (name == "scalar") return BackendKind::kScalar;
   if (name == "blocked") return BackendKind::kBlocked;
   if (name == "simd") return BackendKind::kSimd;
-  if (name == "int8") return BackendKind::kInt8;
   if (name == "auto") {
     return SimdAvailable() ? BackendKind::kSimd : BackendKind::kBlocked;
   }
   return InvalidArgumentError(
       "unknown nn backend '" + name +
-      "' (choices: scalar, blocked, simd, int8, auto)");
+      "' (choices: scalar, blocked, simd, auto)");
 }
 
 std::vector<BackendKind> AllBackendKinds() {
-  return {BackendKind::kScalar, BackendKind::kBlocked, BackendKind::kSimd,
-          BackendKind::kInt8};
-}
-
-void QuantizeInt8(const float* x, size_t n, float inv_scale, int8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    // nearbyintf honours the default round-to-nearest-even mode; the clamp
-    // keeps the range symmetric at ±127 so negation stays exact.
-    float v = std::nearbyintf(x[i] * inv_scale);
-    v = std::min(std::max(v, -127.0f), 127.0f);
-    out[i] = static_cast<int8_t>(v);
-  }
+  return {BackendKind::kScalar, BackendKind::kBlocked, BackendKind::kSimd};
 }
 
 }  // namespace eventhit::nn

@@ -2,9 +2,9 @@
 // docs/BACKENDS.md).
 //
 // The batched inference path (gemm.h, lstm.h, dense.h, mlp.h) is written
-// against a small kernel table — GEMM products, element-wise activations,
-// and the int8 quantized product — so the same forward-pass code can run
-// on several implementations selected once at startup:
+// against a small kernel table — GEMM products and element-wise
+// activations — so the same forward-pass code can run on several
+// implementations selected once at startup:
 //
 //   * scalar  — naive reference loops, no tiling. Same ascending-k float
 //     summation order as `blocked`, so results are bit-identical to it;
@@ -26,14 +26,6 @@
 //     non-x86 or pre-AVX2 hardware the simd kind transparently falls back
 //     to the blocked kernels (NEON is the aarch64 baseline, so `blocked`
 //     is already the vectorized path there).
-//   * int8    — per-tensor symmetric int8 quantization (nn/int8.h):
-//     weights and activations quantize to int8 with static scales, the
-//     GEMM accumulates in int32 (exact integer arithmetic, so any
-//     vectorization gives identical results), and a single float multiply
-//     dequantizes each output at the layer boundary. Activations between
-//     layers stay float. Quantization perturbs scores, so conformal
-//     thresholds MUST be recalibrated on int8 scores (docs/BACKENDS.md);
-//     eval::TrainEventHit does this when RunnerConfig::nn_backend is int8.
 //
 // Threading model: a Backend is immutable global state — GetBackend()
 // returns references to static tables, safe to share across threads.
@@ -41,7 +33,6 @@
 #define EVENTHIT_NN_BACKEND_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,7 +40,7 @@
 
 namespace eventhit::nn {
 
-enum class BackendKind { kScalar, kBlocked, kSimd, kInt8 };
+enum class BackendKind { kScalar, kBlocked, kSimd };
 
 /// C = A * B (overwrite) / C += A * B with the shape conventions of
 /// nn/gemm.h: A m x k (lda), B k x n (ldb), C m x n (ldc), ascending-k
@@ -61,22 +52,12 @@ using GemmFn = void (*)(size_t m, size_t n, size_t k, const float* a,
 /// Element-wise activation over n contiguous floats.
 using UnaryFn = void (*)(float* x, size_t n);
 
-/// C = scale * (A * B) with int8 operands and exact int32 accumulation:
-/// A is m x k int8 (lda), B is k x n int8 (ldb), each C element is the
-/// int32 sum of its k products scaled by one float multiply (the dequant
-/// step). Integer accumulation is associative, so results are identical
-/// under any vectorization and any batch composition.
-using Int8GemmFn = void (*)(size_t m, size_t n, size_t k, const int8_t* a,
-                            size_t lda, const int8_t* b, size_t ldb,
-                            float scale, float* c, size_t ldc);
-
 /// The kernel table a forward pass dispatches through.
 struct BackendKernels {
   GemmFn gemm_zero = nullptr;       // C = A*B
   GemmFn gemm = nullptr;            // C += A*B
   UnaryFn tanh_inplace = nullptr;   // x = tanh(x)
   UnaryFn sigmoid_inplace = nullptr;
-  Int8GemmFn int8_gemm_zero = nullptr;  // C = scale * (A*B), int8 operands
 };
 
 /// One selected backend: the kind requested, the kind actually executing
@@ -94,14 +75,10 @@ struct Backend {
 /// dispatches the blocked kernels.
 bool SimdAvailable();
 
-/// The immutable backend singleton for `kind`. For kInt8 the float kernels
-/// (activations and any residual float GEMM) are always the blocked set —
-/// combined with the exact integer GEMM (AVX2-accelerated when available,
-/// identical results either way) this makes int8 scores machine-independent,
-/// so recalibrated conformal thresholds reproduce across hosts.
+/// The immutable backend singleton for `kind`.
 const Backend& GetBackend(BackendKind kind);
 
-/// Canonical lower-case name ("scalar", "blocked", "simd", "int8").
+/// Canonical lower-case name ("scalar", "blocked", "simd").
 const char* BackendKindName(BackendKind kind);
 
 /// Parses a backend name. "auto" resolves to simd when SimdAvailable(),
@@ -109,15 +86,9 @@ const char* BackendKindName(BackendKind kind);
 /// choices.
 Result<BackendKind> ParseBackendKind(const std::string& name);
 
-/// Every kind, in fixed order (scalar, blocked, simd, int8) — for benches
+/// Every kind, in fixed order (scalar, blocked, simd) — for benches
 /// and parity sweeps.
 std::vector<BackendKind> AllBackendKinds();
-
-/// Quantizes n floats to int8 with round-to-nearest-even and clamp to
-/// [-127, 127]: q[i] = clamp(rne(x[i] * inv_scale)). Element-wise and
-/// vectorization-independent, so quantized activations do not depend on
-/// batch composition (the int8 determinism contract, docs/BACKENDS.md).
-void QuantizeInt8(const float* x, size_t n, float inv_scale, int8_t* out);
 
 }  // namespace eventhit::nn
 

@@ -2,7 +2,6 @@
 
 #include <fstream>
 
-#include "common/csv_writer.h"
 #include "common/table_printer.h"
 #include "obs/json_util.h"
 
@@ -54,22 +53,6 @@ void PrintMetricsTable(const MetricsSnapshot& snapshot, std::ostream& os) {
     }
     table.Print(os);
   }
-}
-
-std::string MetricsToCsv(const MetricsSnapshot& snapshot) {
-  CsvWriter csv({"kind", "name", "value", "count", "sum", "min", "max"});
-  for (const CounterSnapshot& counter : snapshot.counters) {
-    csv.AddRow({"counter", counter.name, Fmt(counter.value), "", "", "", ""});
-  }
-  for (const GaugeSnapshot& gauge : snapshot.gauges) {
-    csv.AddRow({"gauge", gauge.name, Fmt(gauge.value, 6), "", "", "", ""});
-  }
-  for (const HistogramSnapshot& histogram : snapshot.histograms) {
-    csv.AddRow({"histogram", histogram.name, Fmt(histogram.Mean(), 6),
-                Fmt(histogram.count), Fmt(histogram.sum, 6),
-                Fmt(histogram.min, 6), Fmt(histogram.max, 6)});
-  }
-  return csv.ToString();
 }
 
 std::string MetricsToJson(const MetricsSnapshot& snapshot) {

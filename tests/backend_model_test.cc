@@ -1,8 +1,8 @@
 // Model-level contracts of the runtime-dispatched inference backends
 // (core::EventHitModel x nn/backend.h): per-record vs batched parity under
 // every backend, the cross-backend score bounds documented in
-// docs/BACKENDS.md, int8 calibration lifecycle, and — end to end — that a
-// conformal pipeline recalibrated on int8 scores still meets its miss
+// docs/BACKENDS.md, the backend selection lifecycle, and — end to end —
+// that a conformal pipeline calibrated on simd scores still meets its miss
 // budget under the online guarantee auditor.
 #include <cmath>
 #include <cstddef>
@@ -86,9 +86,6 @@ class BackendModelTest : public ::testing::Test {
   static std::vector<core::EventScores> Score(nn::BackendKind kind,
                                               size_t batch_size) {
     core::EventHitModel& model = *trained_->model;
-    if (kind == nn::BackendKind::kInt8 && !model.int8_calibrated()) {
-      model.CalibrateInt8(env_->calib_records());
-    }
     model.SetInferenceBackend(kind);
     auto scores = core::PredictBatch(model, env_->test_records(),
                                      ExecutionContext(), batch_size);
@@ -109,7 +106,6 @@ eval::TrainedEventHit* BackendModelTest::trained_ = nullptr;
 
 TEST_F(BackendModelTest, PredictMatchesBatchedUnderEveryBackend) {
   core::EventHitModel& model = *trained_->model;
-  model.CalibrateInt8(env_->calib_records());
   const auto& test = env_->test_records();
   const size_t probe = std::min<size_t>(test.size(), 64);
   for (const nn::BackendKind kind : nn::AllBackendKinds()) {
@@ -159,17 +155,8 @@ TEST_F(BackendModelTest, EveryBackendIsBatchSizeInvariant) {
   }
 }
 
-TEST_F(BackendModelTest, Int8WithinQuantizationBoundOfBlocked) {
-  const double diff = MaxScoreDiff(Score(nn::BackendKind::kInt8, 32),
-                                   Score(nn::BackendKind::kBlocked, 32));
-  EXPECT_GT(diff, 0.0);  // quantization genuinely perturbs
-  // Committed baseline drift is ~0.1 on sigmoid outputs
-  // (BENCH_fig9_fps.json int8_scores_max_abs_diff); 0.25 is the contract
-  // ceiling in docs/BACKENDS.md.
-  EXPECT_LE(diff, 0.25);
-}
-
-TEST(BackendLifecycleTest, TrainingInvalidatesInt8AndResetsBackend) {
+TEST(BackendLifecycleTest,
+     FreshModelDefaultsToBlockedAndTrainingKeepsSelection) {
   core::EventHitConfig config;
   config.collection_window = 10;
   config.horizon = 40;
@@ -177,7 +164,6 @@ TEST(BackendLifecycleTest, TrainingInvalidatesInt8AndResetsBackend) {
   config.num_events = 1;
   config.epochs = 1;
   core::EventHitModel model(config);
-  EXPECT_FALSE(model.int8_calibrated());
   EXPECT_EQ(model.inference_backend(), nn::BackendKind::kBlocked);
 
   std::vector<data::Record> records(8);
@@ -188,33 +174,28 @@ TEST(BackendLifecycleTest, TrainingInvalidatesInt8AndResetsBackend) {
     for (auto& v : record.covariates) v = static_cast<float>(rng.Uniform());
     record.labels.resize(1);
   }
+  // Training touches only the weights: the default backend survives it,
+  // and so does an explicit selection.
   model.Train(records);
-  model.CalibrateInt8(records);
-  EXPECT_TRUE(model.int8_calibrated());
-  model.SetInferenceBackend(nn::BackendKind::kInt8);
-  EXPECT_EQ(model.inference_backend(), nn::BackendKind::kInt8);
-
-  // Retraining changes the float weights: the quantized mirror must die
-  // with them, and the selected backend must fall back to blocked.
-  model.Train(records);
-  EXPECT_FALSE(model.int8_calibrated());
   EXPECT_EQ(model.inference_backend(), nn::BackendKind::kBlocked);
+  model.SetInferenceBackend(nn::BackendKind::kSimd);
+  model.Train(records);
+  EXPECT_EQ(model.inference_backend(), nn::BackendKind::kSimd);
 }
 
-// End to end: train + calibrate with RunnerConfig::nn_backend = int8 (so
-// C-CLASSIFY/C-REGRESS thresholds are recalibrated on int8 scores), replay
+// End to end: train + calibrate with RunnerConfig::nn_backend = simd (so
+// C-CLASSIFY/C-REGRESS thresholds are calibrated on simd scores), replay
 // the test slice through the online guarantee auditor, and check the
 // empirical miss rate sits within the conformal budget plus finite-sample
-// slack. This is the acceptance check that int8 + recalibration preserves
-// the paper's guarantee — with stale float thresholds it has no reason to
-// hold.
-TEST(Int8GuaranteeTest, RecalibratedInt8MeetsAuditMissBudget) {
+// slack. simd is the one non-default backend whose scores differ from
+// blocked, so this is the acceptance check that "calibrate on the selected
+// backend" preserves the paper's guarantee.
+TEST(SimdGuaranteeTest, RecalibratedSimdMeetsAuditMissBudget) {
   const data::Task task = data::FindTask("TA10").value();
-  const eval::RunnerConfig config = SmallConfig(nn::BackendKind::kInt8);
+  const eval::RunnerConfig config = SmallConfig(nn::BackendKind::kSimd);
   const auto env = eval::TaskEnvironment::Build(task, config);
   const auto trained = eval::TrainEventHit(env, config);
-  ASSERT_TRUE(trained.model->int8_calibrated());
-  ASSERT_EQ(trained.model->inference_backend(), nn::BackendKind::kInt8);
+  ASSERT_EQ(trained.model->inference_backend(), nn::BackendKind::kSimd);
 
   core::EventHitStrategyOptions options;
   options.use_cclassify = true;

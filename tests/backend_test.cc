@@ -3,17 +3,13 @@
 //   * scalar replays blocked's summation order — bit-identical outputs;
 //   * simd agrees with blocked within the documented 1e-5 bound and is
 //     bit-identical to itself at any batch composition (vector body and
-//     scalar tail share the per-element operation order);
-//   * the int8 GEMM is exact integer arithmetic — it matches an int64
-//     reference to the bit, on every dispatch (generic and AVX2);
-//   * QuantizeInt8 rounds to nearest-even and clamps to [-127, 127].
+//     scalar tail share the per-element operation order).
 #include "nn/backend.h"
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,18 +25,10 @@ std::vector<float> RandomBuffer(size_t n, Rng& rng) {
   return buf;
 }
 
-std::vector<int8_t> RandomInt8Buffer(size_t n, Rng& rng) {
-  std::vector<int8_t> buf(n);
-  for (auto& v : buf) {
-    v = static_cast<int8_t>(rng.UniformInt(0, 254) - 127);
-  }
-  return buf;
-}
-
 TEST(BackendDispatchTest, NamesAndEffectiveKinds) {
   EXPECT_STREQ(GetBackend(BackendKind::kScalar).name, "scalar");
   EXPECT_STREQ(GetBackend(BackendKind::kBlocked).name, "blocked");
-  EXPECT_STREQ(GetBackend(BackendKind::kInt8).name, "int8");
+  EXPECT_STREQ(GetBackend(BackendKind::kSimd).name, "simd");
   EXPECT_EQ(GetBackend(BackendKind::kScalar).effective, BackendKind::kScalar);
   const Backend& simd = GetBackend(BackendKind::kSimd);
   EXPECT_EQ(simd.kind, BackendKind::kSimd);
@@ -61,7 +49,6 @@ TEST(BackendDispatchTest, EveryKernelSlotIsPopulated) {
     EXPECT_NE(backend.kernels->gemm, nullptr) << backend.name;
     EXPECT_NE(backend.kernels->tanh_inplace, nullptr) << backend.name;
     EXPECT_NE(backend.kernels->sigmoid_inplace, nullptr) << backend.name;
-    EXPECT_NE(backend.kernels->int8_gemm_zero, nullptr) << backend.name;
   }
 }
 
@@ -69,16 +56,21 @@ TEST(BackendDispatchTest, ParseBackendKind) {
   EXPECT_EQ(ParseBackendKind("scalar").value(), BackendKind::kScalar);
   EXPECT_EQ(ParseBackendKind("blocked").value(), BackendKind::kBlocked);
   EXPECT_EQ(ParseBackendKind("simd").value(), BackendKind::kSimd);
-  EXPECT_EQ(ParseBackendKind("int8").value(), BackendKind::kInt8);
   const auto auto_kind = ParseBackendKind("auto");
   ASSERT_TRUE(auto_kind.ok());
   EXPECT_EQ(auto_kind.value(), SimdAvailable() ? BackendKind::kSimd
                                                : BackendKind::kBlocked);
-  const auto bad = ParseBackendKind("avx512");
-  ASSERT_FALSE(bad.ok());
-  // The error must enumerate the valid choices (it reaches CLI users).
-  EXPECT_NE(bad.status().message().find("scalar"), std::string::npos);
-  EXPECT_NE(bad.status().message().find("auto"), std::string::npos);
+  // Unknown names, int8 among them, are rejected with a message that
+  // enumerates the valid choices (it reaches CLI users).
+  for (const char* name : {"avx512", "int8"}) {
+    const auto bad = ParseBackendKind(name);
+    ASSERT_FALSE(bad.ok()) << name;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << name;
+    for (const char* choice : {"scalar", "blocked", "simd", "auto"}) {
+      EXPECT_NE(bad.status().message().find(choice), std::string::npos)
+          << name << " message lacks " << choice;
+    }
+  }
 }
 
 // scalar and blocked promise the same float summation order, so their
@@ -176,69 +168,6 @@ TEST(BackendParityTest, SimdActivationsWithinBoundAndLengthInvariant) {
       ASSERT_EQ(alone, y_simd[i]) << i;
     }
   }
-}
-
-// Exact int64 reference for the int8 GEMM: integer accumulation has no
-// rounding, so every implementation must reproduce it exactly (the int32
-// accumulator cannot overflow at these operand magnitudes).
-void NaiveInt8Gemm(size_t m, size_t n, size_t k, const int8_t* a, size_t lda,
-                   const int8_t* b, size_t ldb, float scale, float* c,
-                   size_t ldc) {
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      int64_t acc = 0;
-      for (size_t p = 0; p < k; ++p) {
-        acc += static_cast<int64_t>(a[i * lda + p]) *
-               static_cast<int64_t>(b[p * ldb + j]);
-      }
-      c[i * ldc + j] = scale * static_cast<float>(acc);
-    }
-  }
-}
-
-TEST(BackendParityTest, Int8GemmMatchesIntegerReferenceBitExact) {
-  Rng rng(105);
-  for (const auto [m, n, k] :
-       {std::array<size_t, 3>{1, 1, 1}, std::array<size_t, 3>{4, 8, 16},
-        std::array<size_t, 3>{96, 37, 24}, std::array<size_t, 3>{7, 300, 5},
-        std::array<size_t, 3>{3, 2, 0}}) {
-    const std::vector<int8_t> a = RandomInt8Buffer(m * k, rng);
-    const std::vector<int8_t> b = RandomInt8Buffer(k * n, rng);
-    const float scale = 0.0123f;
-    std::vector<float> want(m * n), got(m * n);
-    NaiveInt8Gemm(m, n, k, a.data(), k, b.data(), n, scale, want.data(), n);
-    for (BackendKind kind : AllBackendKinds()) {
-      std::fill(got.begin(), got.end(), -1.0f);
-      GetBackend(kind).kernels->int8_gemm_zero(m, n, k, a.data(), k,
-                                               b.data(), n, scale,
-                                               got.data(), n);
-      EXPECT_EQ(got, want) << GetBackend(kind).name << " " << m << "x" << n
-                           << "x" << k;
-    }
-  }
-}
-
-TEST(QuantizeInt8Test, RoundsToNearestEvenAndClamps) {
-  const float x[] = {0.5f, 1.5f, 2.5f, -0.5f, -1.5f, 0.49f, 200.0f, -200.0f};
-  int8_t q[8];
-  QuantizeInt8(x, 8, 1.0f, q);
-  EXPECT_EQ(q[0], 0);    // 0.5 -> 0 (ties to even)
-  EXPECT_EQ(q[1], 2);    // 1.5 -> 2
-  EXPECT_EQ(q[2], 2);    // 2.5 -> 2
-  EXPECT_EQ(q[3], 0);    // -0.5 -> 0
-  EXPECT_EQ(q[4], -2);   // -1.5 -> -2
-  EXPECT_EQ(q[5], 0);    // 0.49 -> 0
-  EXPECT_EQ(q[6], 127);  // clamped
-  EXPECT_EQ(q[7], -127);
-}
-
-TEST(QuantizeInt8Test, AppliesInverseScale) {
-  const float x[] = {1.0f, -1.0f, 0.5f};
-  int8_t q[3];
-  QuantizeInt8(x, 3, 127.0f, q);  // scale 1/127
-  EXPECT_EQ(q[0], 127);
-  EXPECT_EQ(q[1], -127);
-  EXPECT_EQ(q[2], 64);  // 63.5 rounds to even 64
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "features/autoencoder.h"
 #include "features/feature_selection.h"
 #include "features/standardizer.h"
 
@@ -134,81 +133,6 @@ TEST(FeatureSelectionTest, InvalidChannelDies) {
   const auto records = MakeRecords(2, 13);
   EXPECT_DEATH(ProjectRecord(records[0], kDim, {kDim}), "CHECK failed");
   EXPECT_DEATH(ProjectRecord(records[0], kDim, {}), "CHECK failed");
-}
-
-TEST(AutoencoderTest, TrainingReducesReconstructionError) {
-  const auto records = MakeRecords(150, 15);
-  Autoencoder::Options options;
-  options.latent_dim = 2;
-  options.epochs = 30;
-  Autoencoder autoencoder(kDim, options);
-  const auto history = autoencoder.Train(records);
-  ASSERT_EQ(history.size(), 30u);
-  EXPECT_LT(history.back(), 0.5 * history.front());
-}
-
-TEST(AutoencoderTest, CodesAreBoundedAndDimensioned) {
-  const auto records = MakeRecords(100, 17);
-  Autoencoder::Options options;
-  options.latent_dim = 3;
-  options.epochs = 5;
-  Autoencoder autoencoder(kDim, options);
-  autoencoder.Train(records);
-  nn::Vec code;
-  autoencoder.Encode(records[0].covariates.data(), code);
-  ASSERT_EQ(code.size(), 3u);
-  for (float v : code) {
-    EXPECT_GE(v, -1.0f);
-    EXPECT_LE(v, 1.0f);
-  }
-}
-
-TEST(AutoencoderTest, EncodeRecordChangesFeatureDim) {
-  const auto records = MakeRecords(80, 19);
-  Autoencoder::Options options;
-  options.latent_dim = 2;
-  options.epochs = 5;
-  Autoencoder autoencoder(kDim, options);
-  autoencoder.Train(records);
-  const data::Record encoded = autoencoder.EncodeRecord(records[0]);
-  EXPECT_EQ(encoded.covariates.size(), kWindow * 2);
-  EXPECT_EQ(encoded.labels.size(), records[0].labels.size());
-  EXPECT_EQ(encoded.frame, records[0].frame);
-}
-
-TEST(AutoencoderTest, CodePreservesClassSeparation) {
-  // Realistic pipeline: standardize, then encode. After standardization the
-  // bimodal informative channel carries substantial variance, so some code
-  // component must separate positive from negative records.
-  auto records = MakeRecords(300, 21);
-  const Standardizer standardizer = Standardizer::Fit(records, kDim);
-  standardizer.ApplyAll(records);
-  Autoencoder::Options options;
-  options.latent_dim = 2;
-  options.epochs = 30;
-  Autoencoder autoencoder(kDim, options);
-  autoencoder.Train(records);
-  double pos[2] = {0, 0}, neg[2] = {0, 0};
-  int pos_n = 0, neg_n = 0;
-  nn::Vec code;
-  for (const auto& record : records) {
-    autoencoder.Encode(record.covariates.data(), code);
-    const bool positive = record.labels[0].present;
-    for (int j = 0; j < 2; ++j) (positive ? pos[j] : neg[j]) += code[j];
-    (positive ? pos_n : neg_n) += 1;
-  }
-  ASSERT_GT(pos_n, 0);
-  ASSERT_GT(neg_n, 0);
-  const double gap = std::max(std::fabs(pos[0] / pos_n - neg[0] / neg_n),
-                              std::fabs(pos[1] / pos_n - neg[1] / neg_n));
-  EXPECT_GT(gap, 0.2);
-}
-
-TEST(AutoencoderTest, ReconstructionErrorIsNonNegative) {
-  Autoencoder::Options options;
-  Autoencoder autoencoder(kDim, options);
-  const std::vector<float> frame{0.1f, 0.5f, 0.9f, 2.0f};
-  EXPECT_GE(autoencoder.ReconstructionError(frame.data()), 0.0);
 }
 
 }  // namespace

@@ -156,14 +156,14 @@ void PrintUsage(std::ostream& os) {
       "  --predict-batch=B  records per batch for the batched GEMM\n"
       "               inference path (default 32; scores are identical\n"
       "               for every B >= 1)\n"
-      "  --nn-backend=scalar|blocked|simd|int8|auto  inference kernel\n"
+      "  --nn-backend=scalar|blocked|simd|auto  inference kernel\n"
       "               backend (default blocked; docs/BACKENDS.md). simd\n"
       "               needs AVX2+FMA and falls back to blocked elsewhere;\n"
-      "               auto picks simd when available. int8 quantizes the\n"
-      "               weights and recalibrates the conformal thresholds\n"
-      "               on int8 scores. Scores differ across backends\n"
-      "               within documented bounds; all backends are\n"
-      "               deterministic and batch-invariant.\n"
+      "               auto picks simd when available. Scores differ\n"
+      "               across backends within documented bounds, and the\n"
+      "               conformal thresholds are calibrated on the selected\n"
+      "               backend's scores; all backends are deterministic\n"
+      "               and batch-invariant.\n"
       "  --collect-policy=full|duty:<d>|adaptive  collection scheduling\n"
       "               policy (evaluate + fleet; DESIGN.md 5i). full scores\n"
       "               every prediction boundary (default; byte-identical\n"
@@ -350,35 +350,57 @@ eventhit::Result<TrainedTask> BuildAndTrain(const Flags& flags) {
   return TrainedTask{std::move(env), std::move(trained), exec.value()};
 }
 
+// The evaluate knobs that act only after training: the EHCR thresholds and
+// the fault replay. Parsed before BuildAndTrain so a bad value fails before
+// any training starts.
+struct EvaluateKnobs {
+  double confidence = 0.9;
+  double coverage = 0.5;
+  std::string fault_profile_name;  // Empty: no fault replay.
+  sim::FaultProfile fault_profile;
+  uint64_t fault_seed = 1234;
+  std::string degraded_mode_name;
+  cloud::DegradedMode degraded_mode = cloud::DegradedMode::kDropWithAccounting;
+};
+
+eventhit::Result<EvaluateKnobs> ParseEvaluateKnobs(const Flags& flags) {
+  EvaluateKnobs knobs;
+  const auto confidence = flags.GetDouble("confidence", knobs.confidence);
+  if (!confidence.ok()) return confidence.status();
+  knobs.confidence = confidence.value();
+  const auto coverage = flags.GetDouble("coverage", knobs.coverage);
+  if (!coverage.ok()) return coverage.status();
+  knobs.coverage = coverage.value();
+  const auto fault_seed =
+      flags.GetInt("fault-seed", static_cast<int64_t>(knobs.fault_seed));
+  if (!fault_seed.ok()) return fault_seed.status();
+  knobs.fault_seed = static_cast<uint64_t>(fault_seed.value());
+  knobs.fault_profile_name = flags.GetString("fault-profile", "");
+  if (!knobs.fault_profile_name.empty()) {
+    const auto profile =
+        sim::MakeFaultProfile(knobs.fault_profile_name, knobs.fault_seed);
+    if (!profile.ok()) return profile.status();
+    knobs.fault_profile = profile.value();
+  }
+  knobs.degraded_mode_name = flags.GetString("degraded-mode", "drop");
+  const auto mode = cloud::ParseDegradedMode(knobs.degraded_mode_name);
+  if (!mode.ok()) return mode.status();
+  knobs.degraded_mode = mode.value();
+  return knobs;
+}
+
 // `--fault-profile=NAME`: streams the test slice through the Marshaller
 // and the resilient cloud relay under a deterministic fault schedule, and
 // prints the relay/breaker accounting next to what an ideal (fault-free)
 // link would have delivered. Reproducible from (--seed, --fault-seed).
-int RunFaultReplay(const Flags& flags, const eval::TaskEnvironment& env,
-                   const eval::TrainedEventHit& trained, double confidence,
-                   double coverage) {
-  const std::string profile_name = flags.GetString("fault-profile", "");
-  if (profile_name.empty()) return 0;
-  const auto fault_seed = flags.GetInt("fault-seed", 1234);
-  if (!fault_seed.ok()) {
-    std::cerr << fault_seed.status() << "\n";
-    return 1;
-  }
-  const auto profile = sim::MakeFaultProfile(
-      profile_name, static_cast<uint64_t>(fault_seed.value()));
-  if (!profile.ok()) {
-    std::cerr << profile.status() << "\n";
-    return 1;
-  }
-  const std::string mode_name = flags.GetString("degraded-mode", "drop");
-  if (mode_name != "drop" && mode_name != "buffer") {
-    std::cerr << "--degraded-mode must be drop or buffer\n";
-    return 1;
-  }
-  const sim::FaultInjector injector(profile.value());
+int RunFaultReplay(const EvaluateKnobs& knobs,
+                   const eval::TaskEnvironment& env,
+                   const eval::TrainedEventHit& trained) {
+  if (knobs.fault_profile_name.empty()) return 0;
+  const sim::FaultInjector injector(knobs.fault_profile);
 
   const core::EventHitStrategy strategy =
-      eval::MakeEhcr(trained, confidence, coverage);
+      eval::MakeEhcr(trained, knobs.confidence, knobs.coverage);
   const size_t num_events = env.task().event_indices.size();
   core::Marshaller marshaller(&strategy, env.collection_window(),
                               env.horizon(), env.video().feature_dim(),
@@ -386,16 +408,12 @@ int RunFaultReplay(const Flags& flags, const eval::TaskEnvironment& env,
                               EventLabels(env.task()));
 
   cloud::CloudService service(&env.video(), cloud::CloudConfig{},
-                              static_cast<uint64_t>(fault_seed.value()) + 1);
+                              knobs.fault_seed + 1);
   cloud::RelayConfig relay_config;
-  relay_config.degraded_mode = mode_name == "buffer"
-                                   ? cloud::DegradedMode::kBufferAndReplay
-                                   : cloud::DegradedMode::kDropWithAccounting;
+  relay_config.degraded_mode = knobs.degraded_mode;
   relay_config.replay_horizon_frames = env.horizon();
-  cloud::CloudRelay relay(&service, relay_config,
-                          static_cast<uint64_t>(fault_seed.value()),
-                          &injector, /*metrics=*/nullptr,
-                          &obs::TraceBuffer::Global());
+  cloud::CloudRelay relay(&service, relay_config, knobs.fault_seed, &injector,
+                          /*metrics=*/nullptr, &obs::TraceBuffer::Global());
 
   int64_t detected_event_frames = 0;
   relay.set_delivery_callback([&](const cloud::RelayDelivery& delivery) {
@@ -422,8 +440,8 @@ int RunFaultReplay(const Flags& flags, const eval::TaskEnvironment& env,
   relay.Flush(stream_end - base_frame);
 
   const cloud::RelayStats& stats = relay.stats();
-  std::cout << "\n=== Fault replay (profile=" << profile_name
-            << ", mode=" << mode_name << ") ===\n";
+  std::cout << "\n=== Fault replay (profile=" << knobs.fault_profile_name
+            << ", mode=" << knobs.degraded_mode_name << ") ===\n";
   TablePrinter table({"Quantity", "Value"});
   table.AddRow({"orders submitted", Fmt(stats.orders_submitted)});
   table.AddRow({"orders delivered", Fmt(stats.orders_delivered)});
@@ -544,18 +562,19 @@ int RunEvaluate(const Flags& flags) {
   if (!flags.GetString("drift-profile", "").empty()) {
     return RunDriftRecovery(flags);
   }
+  const auto knobs = ParseEvaluateKnobs(flags);
+  if (!knobs.ok()) {
+    std::cerr << knobs.status() << "\n";
+    return 1;
+  }
+  const double confidence = knobs.value().confidence;
+  const double coverage = knobs.value().coverage;
   auto built = BuildAndTrain(flags);
   if (!built.ok()) {
     std::cerr << built.status() << "\n";
     return 1;
   }
   const auto& [env, trained, exec] = built.value();
-  const auto confidence = flags.GetDouble("confidence", 0.9);
-  const auto coverage = flags.GetDouble("coverage", 0.5);
-  if (!confidence.ok() || !coverage.ok()) {
-    std::cerr << "bad --confidence/--coverage\n";
-    return 1;
-  }
 
   const std::string model_out = flags.GetString("model-out", "");
   if (!model_out.empty()) {
@@ -573,8 +592,8 @@ int RunEvaluate(const Flags& flags) {
       core::EventHitStrategyOptions options;
       options.use_cclassify = use_cc;
       options.use_cregress = use_cr;
-      options.confidence = confidence.value();
-      options.coverage = coverage.value();
+      options.confidence = confidence;
+      options.coverage = coverage;
       const core::EventHitStrategy strategy(
           trained.model.get(), trained.cclassify.get(),
           trained.cregress.get(), options);
@@ -598,15 +617,15 @@ int RunEvaluate(const Flags& flags) {
   // --metrics-jsonl) a labeled time series of per-record metric deltas.
   {
     const core::EventHitStrategy ehcr =
-        eval::MakeEhcr(trained, confidence.value(), coverage.value());
+        eval::MakeEhcr(trained, confidence, coverage);
     const std::vector<core::MarshalDecision> decisions =
         eval::DecisionsFromScores(ehcr, trained.test_scores, exec);
     const std::vector<obs::AuditOutcome> outcomes =
         eval::BuildAuditOutcomes(env.test_records(), decisions);
 
     obs::AuditConfig audit_config;
-    audit_config.confidence = confidence.value();
-    audit_config.coverage = coverage.value();
+    audit_config.confidence = confidence;
+    audit_config.coverage = coverage;
     audit_config.event_labels = EventLabels(env.task());
     obs::GuarantyAuditor auditor(audit_config, /*metrics=*/nullptr,
                                  &obs::TraceBuffer::Global());
@@ -644,13 +663,13 @@ int RunEvaluate(const Flags& flags) {
       std::cerr << "metric deltas written to " << jsonl_path << "\n";
     }
 
-    std::cout << "\n=== Guarantee audit (c=" << Fmt(confidence.value(), 2)
-              << ", alpha=" << Fmt(coverage.value(), 2) << ") ===\n";
+    std::cout << "\n=== Guarantee audit (c=" << Fmt(confidence, 2)
+              << ", alpha=" << Fmt(coverage, 2) << ") ===\n";
     TablePrinter audit_table({"Event", "Pos", "Miss", "MissRate",
                               "MissBudget", "Endp", "Miscov", "MiscovRate",
                               "MiscovBudget", "Breach"});
-    const double miss_budget = 1.0 - confidence.value();
-    const double miscov_budget = 1.0 - coverage.value();
+    const double miss_budget = 1.0 - confidence;
+    const double miscov_budget = 1.0 - coverage;
     const std::vector<std::string>& labels = audit_config.event_labels;
     for (size_t k = 0; k < env.task().event_indices.size(); ++k) {
       const int event = static_cast<int>(k);
@@ -694,7 +713,7 @@ int RunEvaluate(const Flags& flags) {
     }
     if (policy.value().kind != sched::CollectPolicyKind::kFull) {
       const core::EventHitStrategy ehcr =
-          eval::MakeEhcr(trained, confidence.value(), coverage.value());
+          eval::MakeEhcr(trained, confidence, coverage);
       const std::vector<data::Record> sweep = data::StridedRecords(
           env.video(), env.task(), env.extractor(), env.splits().test,
           env.horizon());
@@ -725,8 +744,8 @@ int RunEvaluate(const Flags& flags) {
           eval::ComputeMetrics(sweep, full_decisions, env.horizon());
 
       obs::AuditConfig audit_config;
-      audit_config.confidence = confidence.value();
-      audit_config.coverage = coverage.value();
+      audit_config.confidence = confidence;
+      audit_config.coverage = coverage;
       audit_config.event_labels = EventLabels(env.task());
       obs::GuarantyAuditor auditor(audit_config);
       for (const obs::AuditOutcome& outcome :
@@ -780,8 +799,7 @@ int RunEvaluate(const Flags& flags) {
     cloud::EmitHorizonSpans(&obs::TraceBuffer::Global(), breakdown,
                             /*start_us=*/0);
   }
-  return RunFaultReplay(flags, env, trained, confidence.value(),
-                        coverage.value());
+  return RunFaultReplay(knobs.value(), env, trained);
 }
 
 int RunSweep(const Flags& flags) {
