@@ -253,11 +253,11 @@ int main() {
     // same test slice scored through each kernel backend. `batched` above
     // holds the blocked (default) scores, so each backend's score drift vs
     // blocked is measured here too and emitted into the baseline — the
-    // documented contracts (scalar bit-exact, simd within 1e-5) become
-    // machine-checkable in CI. simd must beat blocked by >= 2x when
-    // AVX2+FMA is available (the point of the backend).
+    // documented bit-exactness contract becomes machine-checkable in CI.
+    // With AVX2 the blocked backend must beat scalar by >= 3x (the point
+    // of its AVX2 body; the portable body reaches ~2x).
     auto& backend_model = *trained.model;
-    const bool simd_available = nn::SimdAvailable();
+    const bool avx2_available = nn::Avx2Available();
     auto score_diff_vs_blocked =
         [&](const std::vector<eventhit::core::EventScores>& scores) {
           double diff = 0.0;
@@ -283,15 +283,13 @@ int main() {
       *diff = score_diff_vs_blocked(scores);
       return n / seconds;
     };
-    double scalar_diff = 0.0, simd_diff = 0.0;
+    double scalar_diff = 0.0;
     const double scalar_fps =
         time_backend(nn::BackendKind::kScalar, &scalar_diff);
-    const double simd_fps = time_backend(nn::BackendKind::kSimd, &simd_diff);
     backend_model.SetInferenceBackend(nn::BackendKind::kBlocked);
 
-    std::cout << "\n### Batched inference per kernel backend (simd "
-              << (simd_available ? "available" : "unavailable, blocked "
-                                                 "fallback")
+    std::cout << "\n### Batched inference per kernel backend (blocked runs "
+              << (avx2_available ? "its AVX2 body" : "its portable body")
               << ")\n";
     TablePrinter backend_table(
         {"Backend", "Records/s", "vs blocked", "max |dScore| vs blocked"});
@@ -300,9 +298,6 @@ int main() {
                           Fmt(scalar_diff, 8)});
     backend_table.AddRow(
         {"blocked", Fmt(batched_fps, 0), "1.00x", Fmt(0.0, 8)});
-    backend_table.AddRow({"simd", Fmt(simd_fps, 0),
-                          Fmt(simd_fps / batched_fps, 2) + "x",
-                          Fmt(simd_diff, 8)});
     backend_table.Print(std::cout);
 
     // Machine-readable baseline for CI and for tracking in-repo.
@@ -318,13 +313,11 @@ int main() {
          << "  \"batched_parallel_fps\": " << batched_parallel_fps << ",\n"
          << "  \"speedup_1t\": " << batched_fps / per_record_fps << ",\n"
          << "  \"scores_max_abs_diff\": " << max_abs_diff << ",\n"
-         << "  \"simd_available\": " << (simd_available ? 1 : 0) << ",\n"
+         << "  \"avx2_available\": " << (avx2_available ? 1 : 0) << ",\n"
          << "  \"batched_fps_scalar\": " << scalar_fps << ",\n"
-         << "  \"batched_fps_simd\": " << simd_fps << ",\n"
-         << "  \"simd_speedup_vs_blocked\": " << simd_fps / batched_fps
+         << "  \"blocked_speedup_vs_scalar\": " << batched_fps / scalar_fps
          << ",\n"
          << "  \"scalar_scores_max_abs_diff\": " << scalar_diff << ",\n"
-         << "  \"simd_scores_max_abs_diff\": " << simd_diff << ",\n"
          << "  \"fast_mode\": " << (bench::FastMode() ? "true" : "false")
          << "\n}\n";
     std::cout << "wrote BENCH_fig9_fps.json\n";

@@ -119,9 +119,7 @@ BENCHMARK(BM_GemmTN)->Arg(8)->Arg(32)->Arg(128);
 
 // The same GEMM shape through each runtime-dispatched kernel backend
 // (nn/backend.h): scalar replays blocked's summation order without the
-// register tiling, simd is the explicit AVX2+FMA path (silently the
-// blocked table when the CPU lacks it — compare against BM_BackendGemm/
-// blocked to tell).
+// register tiling; blocked runs its AVX2 body when the CPU has AVX2.
 void BM_BackendGemm(benchmark::State& state, eventhit::nn::BackendKind kind) {
   const size_t rows = 96, cols = 24;
   const auto batch = static_cast<size_t>(state.range(0));
@@ -141,8 +139,6 @@ void BM_BackendGemm(benchmark::State& state, eventhit::nn::BackendKind kind) {
 BENCHMARK_CAPTURE(BM_BackendGemm, scalar, eventhit::nn::BackendKind::kScalar)
     ->Arg(32)->Arg(128);
 BENCHMARK_CAPTURE(BM_BackendGemm, blocked, eventhit::nn::BackendKind::kBlocked)
-    ->Arg(32)->Arg(128);
-BENCHMARK_CAPTURE(BM_BackendGemm, simd, eventhit::nn::BackendKind::kSimd)
     ->Arg(32)->Arg(128);
 
 void BM_LstmForward(benchmark::State& state) {
@@ -262,8 +258,6 @@ BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, scalar,
                   eventhit::nn::BackendKind::kScalar)->Arg(32);
 BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, blocked,
                   eventhit::nn::BackendKind::kBlocked)->Arg(32);
-BENCHMARK_CAPTURE(BM_EventHitPredictBatchBackend, simd,
-                  eventhit::nn::BackendKind::kSimd)->Arg(32);
 
 void BM_EventHitTrainEpoch(benchmark::State& state) {
   core::EventHitConfig config = ThumosModelConfig();

@@ -102,20 +102,9 @@ EventScores EventHitModel::Predict(const data::Record& record) const {
   EVENTHIT_CHECK_EQ(record.covariates.size(),
                     static_cast<size_t>(config_.collection_window) *
                         config_.feature_dim);
-  if (backend_kind_ == nn::BackendKind::kScalar ||
-      backend_kind_ == nn::BackendKind::kBlocked) {
-    // The per-record MatVec path is bit-identical to both (summation-order
-    // contract, nn/matrix.h).
-    return PredictCovariates(record.covariates.data());
-  }
-  // simd: run the batched path at batch 1, so per-record and batched
-  // scores agree bit-for-bit under every backend (batch invariance,
-  // docs/BACKENDS.md). The arena is thread-local: Predict is const and
-  // called concurrently from calibration workers.
-  thread_local nn::Workspace ws;
-  EventScores out;
-  PredictBatched(&record, 1, &out, ws);
-  return out;
+  // The per-record MatVec path is bit-identical to every backend
+  // (summation-order contract, nn/matrix.h; docs/BACKENDS.md).
+  return PredictCovariates(record.covariates.data());
 }
 
 void EventHitModel::SetInferenceBackend(nn::BackendKind kind) {
@@ -132,9 +121,8 @@ void EventHitModel::PredictBatched(const data::Record* records, size_t count,
     EVENTHIT_CHECK_EQ(records[b].covariates.size(), steps * d);
   }
   ws.Reset();
-  // Kernel dispatch (nn/backend.h): the blocked table points at the exact
-  // functions the pre-backend code called, so the default stays
-  // bit-identical.
+  // Kernel dispatch (nn/backend.h): every backend computes the same bits
+  // as the per-record path, so the choice changes speed only.
   const nn::Backend& backend = nn::GetBackend(backend_kind_);
 
   // Gather covariates batch-minor: element (t, feature j, record b) at

@@ -52,10 +52,9 @@ class EventHitModel {
   /// M x feature_dim). Returns per-epoch statistics.
   std::vector<TrainEpochStats> Train(const std::vector<data::Record>& records);
 
-  /// Inference: raw scores for one covariate block. Routed through the
-  /// selected backend (SetInferenceBackend): scalar/blocked use the
-  /// per-record float path; simd runs the batched path at batch 1 so
-  /// per-record and batched scores stay bit-identical under every backend.
+  /// Inference: raw scores for one covariate block, through the
+  /// per-record float path. Bit-identical to PredictBatched under every
+  /// backend, so the selected backend does not matter here.
   EventScores Predict(const data::Record& record) const;
 
   /// Inference from a raw covariate pointer (M x D floats). Always the
@@ -63,12 +62,9 @@ class EventHitModel {
   /// and blocked backends) regardless of the selected backend.
   EventScores PredictCovariates(const float* covariates) const;
 
-  /// Selects the kernel backend used by Predict/PredictBatched
-  /// (nn/backend.h; docs/BACKENDS.md). Scores change across backends
-  /// (within documented bounds), so conformal calibrators must be built
-  /// from scores produced under the same backend they will guard —
-  /// eval::TrainEventHit sets the backend before calibration for exactly
-  /// this reason.
+  /// Selects the kernel backend used by PredictBatched (nn/backend.h;
+  /// docs/BACKENDS.md). Every backend computes the same bits, so the
+  /// choice changes speed only, never a score or a conformal threshold.
   void SetInferenceBackend(nn::BackendKind kind);
 
   nn::BackendKind inference_backend() const { return backend_kind_; }

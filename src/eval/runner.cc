@@ -112,11 +112,9 @@ TrainedEventHit TrainEventHit(const TaskEnvironment& env,
     obs::TraceSpan span(obs::names::kSpanRunnerTrain);
     trained.history = trained.model->Train(env.train_records());
   }
-  // Select the inference backend BEFORE calibration: the conformal
-  // constructors below score the calibration split through the model, so
-  // thresholds are automatically recalibrated on backend-specific scores
-  // (simd's fused multiply-adds move them within 1e-5 of blocked —
-  // docs/BACKENDS.md).
+  // Every backend computes the same bits (docs/BACKENDS.md), so the
+  // thresholds calibrated below hold under any of them; selecting before
+  // calibration only makes calibration run on the requested kernels.
   trained.model->SetInferenceBackend(config.nn_backend);
   {
     obs::TraceSpan span(obs::names::kSpanRunnerCalibrate);

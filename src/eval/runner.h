@@ -52,10 +52,9 @@ struct RunnerConfig {
   /// per-thread scratch size.
   size_t predict_batch = core::kDefaultPredictBatch;
   /// Inference kernel backend (nn/backend.h; `--nn-backend` in the CLI).
-  /// Set *before* conformal calibration: TrainEventHit selects it on the
-  /// model right after training, so C-CLASSIFY/C-REGRESS thresholds are
-  /// calibrated on scores from the same backend that later produces the
-  /// test scores (docs/BACKENDS.md).
+  /// TrainEventHit selects it on the model right after training. Every
+  /// backend computes the same scores (docs/BACKENDS.md), so this changes
+  /// speed only.
   nn::BackendKind nn_backend = nn::BackendKind::kBlocked;
   /// Collection scheduling policy (sched/collect_policy.h; the CLI's
   /// `--collect-policy`). kFull keeps the legacy every-boundary path

@@ -16,9 +16,10 @@ namespace {
 // far inside the model's 1e-5 score-agreement bound.
 //
 // Determinism: every operation is IEEE and lane-wise identical whether the
-// compiler vectorizes or not (no FMA contraction on baseline x86-64, no
-// reassociation without -ffast-math), so scalar and batched forward passes
-// calling these helpers stay bit-identical (see nn/matrix.h).
+// compiler vectorizes or not (the nn target is built with
+// -ffp-contract=off, and nothing reassociates without -ffast-math), so
+// scalar and batched forward passes calling these helpers stay
+// bit-identical (see nn/matrix.h), as does the AVX2 body.
 inline float TanhRational(float x) {
   x = std::min(std::max(x, -detail::kTanhClamp), detail::kTanhClamp);
   const float x2 = x * x;

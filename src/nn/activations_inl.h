@@ -1,9 +1,9 @@
 // Shared coefficients of the rational tanh approximation (activations.cc).
 //
-// The explicit-SIMD backend (backend_simd.cc) re-implements TanhRational
-// with AVX2 intrinsics and must evaluate the *same* polynomial pair — a
-// coefficient fork would silently violate the documented 1e-5 backend
-// agreement bound (docs/BACKENDS.md). Both the scalar reference and the
+// The AVX2 body of the blocked backend (backend_avx2.cc) re-implements
+// TanhRational with intrinsics and must evaluate the *same* polynomial pair
+// — a coefficient fork would silently break the bit-exactness contract
+// between backends (docs/BACKENDS.md). Both the scalar reference and the
 // intrinsic kernels pull the constants from here so there is exactly one
 // copy in the tree.
 #ifndef EVENTHIT_NN_ACTIVATIONS_INL_H_

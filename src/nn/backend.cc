@@ -6,9 +6,9 @@
 namespace eventhit::nn {
 
 #if EVENTHIT_NN_HAVE_AVX2
-// Implemented in backend_simd.cc, which is compiled with -mavx2 -mfma.
-// Declared here (not in a header) so nothing outside the dispatch table can
-// call them without going through the SimdAvailable() cpuid gate.
+// Implemented in backend_avx2.cc, which is compiled with -mavx2. Declared
+// here (not in a header) so nothing outside the dispatch table can call
+// them without going through the Avx2Available() cpuid gate.
 namespace detail {
 void GemmZeroAvx2(size_t m, size_t n, size_t k, const float* a, size_t lda,
                   const float* b, size_t ldb, float* c, size_t ldc);
@@ -23,11 +23,12 @@ namespace {
 
 // --- scalar reference kernels ---------------------------------------------
 //
-// Same summation order as the blocked kernels (gemm.cc): for GemmZero the
-// first k-term is a plain multiply, every later term a separate multiply
-// then add, ascending k. With identical float operations in identical order
-// the scalar and blocked backends are bit-identical — scalar is the oracle
-// the tiled/vectorized paths are tested against, not a tolerance partner.
+// Same summation order as both blocked bodies (gemm.cc, backend_avx2.cc):
+// for GemmZero the first k-term is a plain multiply, every later term a
+// separate multiply then add, ascending k. With identical float operations
+// in identical order the scalar and blocked backends are bit-identical —
+// scalar is the oracle the tiled/vectorized paths are tested against, not
+// a tolerance partner.
 
 void ScalarGemmZero(size_t m, size_t n, size_t k, const float* a, size_t lda,
                     const float* b, size_t ldb, float* c, size_t ldc) {
@@ -63,23 +64,31 @@ void ScalarGemm(size_t m, size_t n, size_t k, const float* a, size_t lda,
 constexpr BackendKernels kScalarKernels = {ScalarGemmZero, ScalarGemm,
                                            TanhInPlace, SigmoidInPlace};
 
-constexpr BackendKernels kBlockedKernels = {GemmZero, Gemm, TanhInPlace,
-                                            SigmoidInPlace};
+// The two bodies of the blocked backend.
+constexpr BackendKernels kPortableKernels = {GemmZero, Gemm, TanhInPlace,
+                                             SigmoidInPlace};
 
 #if EVENTHIT_NN_HAVE_AVX2
-constexpr BackendKernels kSimdKernels = {
+constexpr BackendKernels kAvx2Kernels = {
     detail::GemmZeroAvx2, detail::GemmAvx2, detail::TanhInPlaceAvx2,
     detail::SigmoidInPlaceAvx2};
 #endif
 
+// The blocked backend's body, chosen once: AVX2 when the CPU has it.
+const BackendKernels* BlockedKernels() {
+#if EVENTHIT_NN_HAVE_AVX2
+  if (Avx2Available()) return &kAvx2Kernels;
+#endif
+  return &kPortableKernels;
+}
+
 }  // namespace
 
-bool SimdAvailable() {
+bool Avx2Available() {
 #if EVENTHIT_NN_HAVE_AVX2 && (defined(__x86_64__) || defined(__i386__))
   // __builtin_cpu_supports returns the feature's mask *bit*, not 0/1 —
   // always compare against zero.
-  static const bool available = __builtin_cpu_supports("avx2") != 0 &&
-                                __builtin_cpu_supports("fma") != 0;
+  static const bool available = __builtin_cpu_supports("avx2") != 0;
   return available;
 #else
   return false;
@@ -87,64 +96,26 @@ bool SimdAvailable() {
 }
 
 const Backend& GetBackend(BackendKind kind) {
-  static const Backend scalar{BackendKind::kScalar, BackendKind::kScalar,
-                              "scalar", &kScalarKernels};
-  static const Backend blocked{BackendKind::kBlocked, BackendKind::kBlocked,
-                               "blocked", &kBlockedKernels};
-  // simd falls back to the blocked table when the CPU (or build) lacks
-  // AVX2+FMA; `effective` records which kernels actually run.
-  static const Backend simd = [] {
-    Backend b;
-    b.kind = BackendKind::kSimd;
-    b.name = "simd";
-#if EVENTHIT_NN_HAVE_AVX2
-    if (SimdAvailable()) {
-      b.effective = BackendKind::kSimd;
-      b.kernels = &kSimdKernels;
-      return b;
-    }
-#endif
-    b.effective = BackendKind::kBlocked;
-    b.kernels = &kBlockedKernels;
-    return b;
-  }();
-  switch (kind) {
-    case BackendKind::kScalar:
-      return scalar;
-    case BackendKind::kBlocked:
-      return blocked;
-    case BackendKind::kSimd:
-      return simd;
-  }
-  return blocked;  // unreachable; keeps -Wreturn-type quiet
+  static const Backend scalar{BackendKind::kScalar, "scalar",
+                              &kScalarKernels};
+  static const Backend blocked{BackendKind::kBlocked, "blocked",
+                               BlockedKernels()};
+  return kind == BackendKind::kScalar ? scalar : blocked;
 }
 
 const char* BackendKindName(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kScalar:
-      return "scalar";
-    case BackendKind::kBlocked:
-      return "blocked";
-    case BackendKind::kSimd:
-      return "simd";
-  }
-  return "unknown";
+  return kind == BackendKind::kScalar ? "scalar" : "blocked";
 }
 
 Result<BackendKind> ParseBackendKind(const std::string& name) {
   if (name == "scalar") return BackendKind::kScalar;
   if (name == "blocked") return BackendKind::kBlocked;
-  if (name == "simd") return BackendKind::kSimd;
-  if (name == "auto") {
-    return SimdAvailable() ? BackendKind::kSimd : BackendKind::kBlocked;
-  }
-  return InvalidArgumentError(
-      "unknown nn backend '" + name +
-      "' (choices: scalar, blocked, simd, auto)");
+  return InvalidArgumentError("unknown nn backend '" + name +
+                              "' (choices: scalar, blocked)");
 }
 
 std::vector<BackendKind> AllBackendKinds() {
-  return {BackendKind::kScalar, BackendKind::kBlocked, BackendKind::kSimd};
+  return {BackendKind::kScalar, BackendKind::kBlocked};
 }
 
 }  // namespace eventhit::nn

@@ -35,8 +35,8 @@ class Dense {
   void ForwardBatch(const float* x, size_t batch, float* y) const;
 
   /// Same, dispatching the GEMM through `backend`'s kernel table
-  /// (nn/backend.h). The blocked backend reproduces the overload above
-  /// bit-for-bit; simd agrees within the documented tolerance.
+  /// (nn/backend.h). Every backend reproduces the overload above
+  /// bit-for-bit.
   void ForwardBatch(const float* x, size_t batch, float* y,
                     const Backend& backend) const;
 

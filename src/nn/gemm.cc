@@ -19,8 +19,9 @@ constexpr size_t kRowTile = 4;
 // which peels the first k-term into a store so C is never read or
 // pre-zeroed). The a-scalars hoist into registers; the j loop is
 // unit-stride over four independent accumulator rows, which the compiler
-// turns into FMA-free packed multiply-adds without needing to reassociate
-// anything (each c[j] is a distinct element, not a reduction).
+// turns into packed multiplies and adds (never fused: -ffp-contract=off)
+// without needing to reassociate anything (each c[j] is a distinct
+// element, not a reduction).
 template <bool kAccumulate>
 inline void GemmTile4(size_t n, size_t k, const float* EVENTHIT_RESTRICT a0,
                       const float* EVENTHIT_RESTRICT a1,

@@ -50,9 +50,8 @@ class Lstm {
                     float* h_out, Workspace& ws) const;
 
   /// Same, dispatching GEMMs and activations through `backend`'s kernel
-  /// table (nn/backend.h). The blocked backend reproduces the overload
-  /// above bit-for-bit; simd agrees within the documented tolerance and is
-  /// itself batch-size invariant.
+  /// table (nn/backend.h). Every backend reproduces the overload above
+  /// bit-for-bit.
   void ForwardBatch(const float* inputs, size_t steps, size_t batch,
                     float* h_out, Workspace& ws, const Backend& backend) const;
 

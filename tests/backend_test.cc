@@ -1,43 +1,65 @@
 // Contract tests for the runtime-dispatched kernel backends (nn/backend.h,
-// docs/BACKENDS.md):
-//   * scalar replays blocked's summation order — bit-identical outputs;
-//   * simd agrees with blocked within the documented 1e-5 bound and is
-//     bit-identical to itself at any batch composition (vector body and
-//     scalar tail share the per-element operation order).
+// docs/BACKENDS.md): both bodies of the blocked backend — the AVX2 one
+// chosen by cpuid and the portable one — replay scalar's float operations
+// element for element, so every output matches scalar to the bit on every
+// shape, tail and edge input.
 #include "nn/backend.h"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "nn/activations.h"
+#include "nn/activations_inl.h"
+#include "nn/gemm.h"
 
 namespace eventhit::nn {
 namespace {
 
-std::vector<float> RandomBuffer(size_t n, Rng& rng) {
+std::vector<float> RandomBuffer(size_t n, Rng& rng, double scale = 1.0) {
   std::vector<float> buf(n);
-  for (auto& v : buf) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
+  for (auto& v : buf) v = static_cast<float>(rng.Gaussian(0.0, scale));
   return buf;
+}
+
+// Bitwise equality: unlike ==, tells -0 from +0 and accepts NaN == NaN
+// only when the payloads agree.
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
 }
 
 TEST(BackendDispatchTest, NamesAndEffectiveKinds) {
   EXPECT_STREQ(GetBackend(BackendKind::kScalar).name, "scalar");
   EXPECT_STREQ(GetBackend(BackendKind::kBlocked).name, "blocked");
-  EXPECT_STREQ(GetBackend(BackendKind::kSimd).name, "simd");
-  EXPECT_EQ(GetBackend(BackendKind::kScalar).effective, BackendKind::kScalar);
-  const Backend& simd = GetBackend(BackendKind::kSimd);
-  EXPECT_EQ(simd.kind, BackendKind::kSimd);
-  if (SimdAvailable()) {
-    EXPECT_EQ(simd.effective, BackendKind::kSimd);
+  EXPECT_EQ(GetBackend(BackendKind::kScalar).kind, BackendKind::kScalar);
+  EXPECT_EQ(GetBackend(BackendKind::kBlocked).kind, BackendKind::kBlocked);
+#if defined(__x86_64__) || defined(__i386__)
+  // An AVX2 CPU must get the AVX2 body: a build that dropped it (or a
+  // broken cpuid gate) would silently run the portable kernels.
+  EXPECT_EQ(Avx2Available(), __builtin_cpu_supports("avx2") != 0);
+#endif
+  // The body blocked effectively runs: the AVX2 table exactly when the
+  // gate passes, else the portable gemm.cc/activations.cc kernels.
+  const BackendKernels& blocked = *GetBackend(BackendKind::kBlocked).kernels;
+  const bool portable = blocked.gemm_zero == &GemmZero &&
+                        blocked.gemm == &Gemm &&
+                        blocked.tanh_inplace == &TanhInPlace &&
+                        blocked.sigmoid_inplace == &SigmoidInPlace;
+  if (Avx2Available()) {
+    EXPECT_NE(blocked.gemm_zero, &GemmZero);
+    EXPECT_NE(blocked.gemm, &Gemm);
+    EXPECT_NE(blocked.tanh_inplace, &TanhInPlace);
+    EXPECT_NE(blocked.sigmoid_inplace, &SigmoidInPlace);
   } else {
-    // No AVX2+FMA: the simd kind must transparently run the blocked table.
-    EXPECT_EQ(simd.effective, BackendKind::kBlocked);
-    EXPECT_EQ(simd.kernels, GetBackend(BackendKind::kBlocked).kernels);
+    EXPECT_TRUE(portable);
   }
 }
 
@@ -55,18 +77,14 @@ TEST(BackendDispatchTest, EveryKernelSlotIsPopulated) {
 TEST(BackendDispatchTest, ParseBackendKind) {
   EXPECT_EQ(ParseBackendKind("scalar").value(), BackendKind::kScalar);
   EXPECT_EQ(ParseBackendKind("blocked").value(), BackendKind::kBlocked);
-  EXPECT_EQ(ParseBackendKind("simd").value(), BackendKind::kSimd);
-  const auto auto_kind = ParseBackendKind("auto");
-  ASSERT_TRUE(auto_kind.ok());
-  EXPECT_EQ(auto_kind.value(), SimdAvailable() ? BackendKind::kSimd
-                                               : BackendKind::kBlocked);
-  // Unknown names, int8 among them, are rejected with a message that
-  // enumerates the valid choices (it reaches CLI users).
-  for (const char* name : {"avx512", "int8"}) {
+  // Unknown names — the removed simd, auto and int8 among them — are
+  // rejected with a message that enumerates the valid choices (it reaches
+  // CLI users).
+  for (const char* name : {"simd", "auto", "avx512", "int8"}) {
     const auto bad = ParseBackendKind(name);
     ASSERT_FALSE(bad.ok()) << name;
     EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << name;
-    for (const char* choice : {"scalar", "blocked", "simd", "auto"}) {
+    for (const char* choice : {"scalar", "blocked"}) {
       EXPECT_NE(bad.status().message().find(choice), std::string::npos)
           << name << " message lacks " << choice;
     }
@@ -103,70 +121,120 @@ TEST(BackendParityTest, ScalarMatchesBlockedBitExact) {
   }
 }
 
-TEST(BackendParityTest, SimdGemmWithinBoundOfBlocked) {
-  const size_t m = 96, n = 37, k = 24;
-  Rng rng(102);
-  const std::vector<float> a = RandomBuffer(m * k, rng);
-  const std::vector<float> b = RandomBuffer(k * n, rng);
-  std::vector<float> c_simd(m * n), c_blocked(m * n);
-  GetBackend(BackendKind::kSimd)
-      .kernels->gemm_zero(m, n, k, a.data(), k, b.data(), n, c_simd.data(),
-                          n);
-  GetBackend(BackendKind::kBlocked)
-      .kernels->gemm_zero(m, n, k, a.data(), k, b.data(), n,
-                          c_blocked.data(), n);
-  for (size_t i = 0; i < m * n; ++i) {
-    // Gaussian operands with k=24 terms stay well inside the documented
-    // 1e-5 *score* bound at kernel level too.
-    EXPECT_NEAR(c_simd[i], c_blocked[i], 1e-4f) << i;
-  }
-}
-
-// The batch-invariance half of the simd contract: a column's (= batch
-// element's) result must not depend on the other columns. Scoring the
-// full batch and scoring each column alone must agree to the bit — this
-// is what keeps the fleet's solo==batched digest check green under simd.
-TEST(BackendParityTest, SimdGemmBatchInvariant) {
-  const size_t m = 97, k = 23, n = 37;  // Off-tile shape: body + tails.
-  Rng rng(103);
-  const std::vector<float> a = RandomBuffer(m * k, rng);
-  const std::vector<float> b = RandomBuffer(k * n, rng);
-  std::vector<float> full(m * n);
-  const BackendKernels& kern = *GetBackend(BackendKind::kSimd).kernels;
-  kern.gemm_zero(m, n, k, a.data(), k, b.data(), n, full.data(), n);
-  for (size_t j = 0; j < n; ++j) {
-    std::vector<float> solo(m);
-    // One column: same B storage, ldb = n, n = 1.
-    kern.gemm_zero(m, 1, k, a.data(), k, b.data() + j, n, solo.data(), 1);
-    for (size_t i = 0; i < m; ++i) {
-      ASSERT_EQ(solo[i], full[i * n + j]) << "row " << i << " col " << j;
-    }
-  }
-}
-
-TEST(BackendParityTest, SimdActivationsWithinBoundAndLengthInvariant) {
-  const size_t n = 1027;  // 8-wide body plus a scalar tail.
-  Rng rng(104);
-  const std::vector<float> x = RandomBuffer(n, rng);
-  const BackendKernels& simd = *GetBackend(BackendKind::kSimd).kernels;
+// Every column count from 1 to 17 plus the fleet's batch sizes and their
+// neighbours (each 8-wide panel and every masked tail), every row count
+// through two 4-row tiles plus the model's 96 gate rows, and k from the
+// zero-term edge up. Padded leading dimensions carry a sentinel that the
+// kernels must leave untouched, so a masked store that writes past the
+// last column fails too.
+TEST(BackendParityTest, BlockedGemmMatchesScalarOnEveryShape) {
+  constexpr float kSentinel = -12345.0f;
+  const BackendKernels& scalar = *GetBackend(BackendKind::kScalar).kernels;
   const BackendKernels& blocked = *GetBackend(BackendKind::kBlocked).kernels;
-  for (const bool is_tanh : {true, false}) {
-    const UnaryFn simd_fn = is_tanh ? simd.tanh_inplace : simd.sigmoid_inplace;
-    const UnaryFn blocked_fn =
-        is_tanh ? blocked.tanh_inplace : blocked.sigmoid_inplace;
-    std::vector<float> y_simd = x, y_blocked = x;
-    simd_fn(y_simd.data(), n);
-    blocked_fn(y_blocked.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(y_simd[i], y_blocked[i], 1e-5f) << i;
+  std::vector<size_t> ns;
+  for (size_t n = 1; n <= 17; ++n) ns.push_back(n);
+  for (size_t n : {31, 32, 33, 57, 64, 65}) ns.push_back(n);
+  std::vector<size_t> ms;
+  for (size_t m = 1; m <= 9; ++m) ms.push_back(m);
+  ms.push_back(96);
+  Rng rng(105);
+  for (const size_t n : ns) {
+    for (const size_t m : ms) {
+      for (const size_t k : {0, 1, 10, 24}) {
+        const size_t lda = k + 1, ldb = n + 3, ldc = n + 2;
+        const std::vector<float> a = RandomBuffer(m * lda, rng);
+        const std::vector<float> b = RandomBuffer(std::max<size_t>(k, 1) * ldb,
+                                                  rng);
+        const std::vector<float> c0 = RandomBuffer(m * ldc, rng);
+        for (const bool accumulate : {false, true}) {
+          const GemmFn ref = accumulate ? scalar.gemm : scalar.gemm_zero;
+          const GemmFn fast = accumulate ? blocked.gemm : blocked.gemm_zero;
+          std::vector<float> c_ref = c0, c_fast = c0;
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t j = n; j < ldc; ++j) {
+              c_ref[i * ldc + j] = c_fast[i * ldc + j] = kSentinel;
+            }
+          }
+          ref(m, n, k, a.data(), lda, b.data(), ldb, c_ref.data(), ldc);
+          fast(m, n, k, a.data(), lda, b.data(), ldb, c_fast.data(), ldc);
+          for (size_t idx = 0; idx < c_ref.size(); ++idx) {
+            ASSERT_TRUE(SameBits(c_ref[idx], c_fast[idx]))
+                << (accumulate ? "gemm " : "gemm_zero ") << m << "x" << n
+                << "x" << k << " element " << idx << ": " << c_ref[idx]
+                << " vs " << c_fast[idx];
+          }
+        }
+      }
     }
-    // Element-wise invariance: the value at i must not depend on the
-    // array length or the element's position (vector body vs tail).
-    for (size_t i = 0; i < n; i += 97) {
-      float alone = x[i];
-      simd_fn(&alone, 1);
-      ASSERT_EQ(alone, y_simd[i]) << i;
+  }
+}
+
+// The activations on every length through two 8-wide vectors plus a
+// masked tail, then on edge inputs: signed zeros, infinities, NaN (the
+// maxps/minps operand order must match std::max/std::min), the clamp
+// point and its neighbours, and subnormals. Edge values sit at every
+// position of a 17-element array, so each one passes through both the
+// vector body and the tail.
+TEST(BackendParityTest, BlockedActivationsMatchScalarBitExact) {
+  const BackendKernels& scalar = *GetBackend(BackendKind::kScalar).kernels;
+  const BackendKernels& blocked = *GetBackend(BackendKind::kBlocked).kernels;
+  const auto check = [&](const std::vector<float>& x, const char* what) {
+    for (const bool is_tanh : {true, false}) {
+      const UnaryFn ref = is_tanh ? scalar.tanh_inplace
+                                  : scalar.sigmoid_inplace;
+      const UnaryFn fast = is_tanh ? blocked.tanh_inplace
+                                   : blocked.sigmoid_inplace;
+      std::vector<float> y_ref = x, y_fast = x;
+      ref(y_ref.data(), y_ref.size());
+      fast(y_fast.data(), y_fast.size());
+      for (size_t i = 0; i < x.size(); ++i) {
+        ASSERT_TRUE(SameBits(y_ref[i], y_fast[i]))
+            << what << (is_tanh ? " tanh" : " sigmoid") << " length "
+            << x.size() << " index " << i << " input " << x[i] << ": "
+            << y_ref[i] << " vs " << y_fast[i];
+        // The per-record path's scalar helpers agree too.
+        const float one = is_tanh ? TanhScalar(x[i]) : SigmoidScalar(x[i]);
+        ASSERT_TRUE(SameBits(one, y_fast[i]))
+            << what << " scalar helper, input " << x[i];
+      }
     }
+  };
+
+  Rng rng(106);
+  for (size_t n = 0; n <= 17; ++n) {
+    // Scale 6 reaches past the clamp in both directions.
+    check(RandomBuffer(n, rng, 6.0), "random");
+  }
+
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  const float clamp = detail::kTanhClamp;
+  const std::vector<float> edges = {
+      0.0f,
+      -0.0f,
+      kInf,
+      -kInf,
+      std::numeric_limits<float>::quiet_NaN(),
+      clamp,
+      -clamp,
+      std::nextafter(clamp, 0.0f),
+      std::nextafter(clamp, kInf),
+      -std::nextafter(clamp, 0.0f),
+      kDenorm,
+      -kDenorm,
+      1e-40f,
+      -1e-40f,
+      std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(),
+  };
+  for (const float edge : edges) {
+    for (size_t pos = 0; pos < 17; ++pos) {
+      std::vector<float> x = RandomBuffer(17, rng);
+      x[pos] = edge;
+      check(x, "edge");
+    }
+    check({edge}, "edge alone");
   }
 }
 

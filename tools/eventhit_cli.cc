@@ -156,14 +156,12 @@ void PrintUsage(std::ostream& os) {
       "  --predict-batch=B  records per batch for the batched GEMM\n"
       "               inference path (default 32; scores are identical\n"
       "               for every B >= 1)\n"
-      "  --nn-backend=scalar|blocked|simd|auto  inference kernel\n"
-      "               backend (default blocked; docs/BACKENDS.md). simd\n"
-      "               needs AVX2+FMA and falls back to blocked elsewhere;\n"
-      "               auto picks simd when available. Scores differ\n"
-      "               across backends within documented bounds, and the\n"
-      "               conformal thresholds are calibrated on the selected\n"
-      "               backend's scores; all backends are deterministic\n"
-      "               and batch-invariant.\n"
+      "  --nn-backend=scalar|blocked  inference kernel backend\n"
+      "               (default blocked; docs/BACKENDS.md). blocked runs\n"
+      "               explicit AVX2 kernels when the CPU has AVX2, else\n"
+      "               portable tiled ones; scalar is the reference\n"
+      "               loops. Every backend computes bit-identical scores\n"
+      "               at any batch size: the choice changes speed only.\n"
       "  --collect-policy=full|duty:<d>|adaptive  collection scheduling\n"
       "               policy (evaluate + fleet; DESIGN.md 5i). full scores\n"
       "               every prediction boundary (default; byte-identical\n"
